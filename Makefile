@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race race-hot bench bench-smoke bench-json bench-compare figures determinism deprecations
+.PHONY: check build vet fmt test race race-hot bench bench-smoke bench-selftest bench-json bench-compare figures determinism deprecations
 
 ## check: the full gate — build, vet, formatting, the hot-path race
-## gate, the race-enabled test suite, the facade deprecation gate, and
-## the parallel-harness determinism gate.
-check: build vet fmt race-hot race deprecations determinism
+## gate, the race-enabled test suite, the benchmark's own smoke tests,
+## the facade deprecation gate, and the parallel-harness determinism gate.
+check: build vet fmt race-hot race bench-selftest deprecations determinism
 
 ## deprecations: the public facade must stay free of deprecated API —
 ## PR 5 deleted the last // Deprecated: markers; this gate keeps new
@@ -14,6 +14,9 @@ check: build vet fmt race-hot race deprecations determinism
 ## BlockIP) from coming back outside internal/gfw: censorship behaviour
 ## is declarative policy applied through gfw.Apply, and a stray setter
 ## call would bypass the provisional-verdict bookkeeping Apply does.
+## The third keeps the shard tier orchestrated once: internal/tier is the
+## only place a Director or an autoscale controller is constructed, so
+## the simulated and the real-socket tier cannot grow apart again.
 deprecations:
 	@if grep -n "// Deprecated:" *.go; then \
 		echo "deprecation gate: remove deprecated API from the public facade instead of marking it"; exit 1; \
@@ -25,6 +28,13 @@ deprecations:
 		echo "deprecation gate: mutate the GFW only through gfw.Apply(Policy)"; exit 1; \
 	else \
 		echo "deprecation gate: no imperative GFW mutation outside internal/gfw"; \
+	fi
+	@if grep -rnE "shard\.NewDirector\(|autoscale\.New\(" \
+		--include="*.go" --exclude="*_test.go" --exclude-dir=.bench_build . \
+		| grep -vE "^\./internal/(tier|shard|autoscale)/"; then \
+		echo "deprecation gate: orchestrate the shard tier only through internal/tier"; exit 1; \
+	else \
+		echo "deprecation gate: no tier orchestration outside internal/tier"; \
 	fi
 
 build:
@@ -52,7 +62,7 @@ race:
 ## simulator core fails fast; the full `race` pass then reuses these
 ## packages' cached results.
 race-hot:
-	$(GO) test -race ./internal/vclock ./internal/netsim ./internal/cache ./internal/fleet ./internal/censor
+	$(GO) test -race ./internal/vclock ./internal/netsim ./internal/cache ./internal/fleet ./internal/censor ./internal/tier
 
 ## bench: regenerate every figure's benchmark row once.
 bench:
@@ -62,6 +72,12 @@ bench:
 ## (includes the obs hot-path allocation benchmarks).
 bench-smoke:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
+
+## bench-selftest: the repo benchmark (BENCHMARK.json, benchmark/run.sh)
+## is its own Go module, so `go test ./...` at the root never reaches its
+## smoke tests; this runs them.
+bench-selftest:
+	cd benchmark && $(GO) test ./...
 
 ## bench-json: run the full figure sweep and record the machine-readable
 ## performance report. Pinned to one core and one worker so the
@@ -84,38 +100,23 @@ bench-compare:
 
 ## determinism: the parallel harness's core guarantee — the full figure
 ## sweep (which includes the faults figure) must be byte-identical at
-## -parallel 1 and -parallel 4, and the fault-heavy figure alone at a
-## third worker count to cover odd scheduling interleavings.
+## -parallel 1 and -parallel 4, and each fault- or control-loop-heavy
+## figure alone at a third worker count to cover odd scheduling
+## interleavings.
+DETERMINISM_FIGS = faults transports censor shards autoscale scale
+
 determinism:
 	@$(GO) build -o /tmp/scholarbench-gate ./cmd/scholarbench
 	@/tmp/scholarbench-gate -fig all -parallel 1 > /tmp/scholarbench-p1.txt
 	@/tmp/scholarbench-gate -fig all -parallel 4 > /tmp/scholarbench-p4.txt
 	@cmp /tmp/scholarbench-p1.txt /tmp/scholarbench-p4.txt && \
 		echo "determinism gate: -parallel 4 output byte-identical to -parallel 1"
-	@/tmp/scholarbench-gate -fig faults -parallel 3 > /tmp/scholarbench-faults-p3.txt
-	@/tmp/scholarbench-gate -fig faults -parallel 1 > /tmp/scholarbench-faults-p1.txt
-	@cmp /tmp/scholarbench-faults-p1.txt /tmp/scholarbench-faults-p3.txt && \
-		echo "determinism gate: -fig faults byte-identical at -parallel 1 and -parallel 3"
-	@/tmp/scholarbench-gate -fig transports -parallel 1 > /tmp/scholarbench-transports-p1.txt
-	@/tmp/scholarbench-gate -fig transports -parallel 3 > /tmp/scholarbench-transports-p3.txt
-	@cmp /tmp/scholarbench-transports-p1.txt /tmp/scholarbench-transports-p3.txt && \
-		echo "determinism gate: -fig transports byte-identical at -parallel 1 and -parallel 3"
-	@/tmp/scholarbench-gate -fig censor -parallel 1 > /tmp/scholarbench-censor-p1.txt
-	@/tmp/scholarbench-gate -fig censor -parallel 3 > /tmp/scholarbench-censor-p3.txt
-	@cmp /tmp/scholarbench-censor-p1.txt /tmp/scholarbench-censor-p3.txt && \
-		echo "determinism gate: -fig censor byte-identical at -parallel 1 and -parallel 3"
-	@/tmp/scholarbench-gate -fig shards -parallel 1 > /tmp/scholarbench-shards-p1.txt
-	@/tmp/scholarbench-gate -fig shards -parallel 3 > /tmp/scholarbench-shards-p3.txt
-	@cmp /tmp/scholarbench-shards-p1.txt /tmp/scholarbench-shards-p3.txt && \
-		echo "determinism gate: -fig shards byte-identical at -parallel 1 and -parallel 3"
-	@/tmp/scholarbench-gate -fig autoscale -parallel 1 > /tmp/scholarbench-autoscale-p1.txt
-	@/tmp/scholarbench-gate -fig autoscale -parallel 3 > /tmp/scholarbench-autoscale-p3.txt
-	@cmp /tmp/scholarbench-autoscale-p1.txt /tmp/scholarbench-autoscale-p3.txt && \
-		echo "determinism gate: -fig autoscale byte-identical at -parallel 1 and -parallel 3"
-	@/tmp/scholarbench-gate -fig scale -parallel 1 > /tmp/scholarbench-scale-p1.txt
-	@/tmp/scholarbench-gate -fig scale -parallel 3 > /tmp/scholarbench-scale-p3.txt
-	@cmp /tmp/scholarbench-scale-p1.txt /tmp/scholarbench-scale-p3.txt && \
-		echo "determinism gate: -fig scale byte-identical at -parallel 1 and -parallel 3"
+	@for fig in $(DETERMINISM_FIGS); do \
+		/tmp/scholarbench-gate -fig $$fig -parallel 1 > /tmp/scholarbench-$$fig-p1.txt && \
+		/tmp/scholarbench-gate -fig $$fig -parallel 3 > /tmp/scholarbench-$$fig-p3.txt && \
+		cmp /tmp/scholarbench-$$fig-p1.txt /tmp/scholarbench-$$fig-p3.txt && \
+		echo "determinism gate: -fig $$fig byte-identical at -parallel 1 and -parallel 3" || exit 1; \
+	done
 
 ## figures: regenerate the paper's figures (quick sampling).
 figures:

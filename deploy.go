@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,6 +22,7 @@ import (
 	"scholarcloud/internal/pac"
 	"scholarcloud/internal/pki"
 	"scholarcloud/internal/shard"
+	"scholarcloud/internal/tier"
 )
 
 // RemoteConfig configures a real-socket remote proxy (the endpoint
@@ -667,8 +667,11 @@ func addrPlus(base string, i int) (string, error) {
 // shared rendezvous ring, the peered caches, and the coordinated
 // takedown control plane.
 type DomesticTier struct {
-	shards   []*DomesticProxy
-	director *shard.Director
+	shards []*DomesticProxy
+	// orch is the shared tier control plane (ring, Director, cache
+	// peering, warm-up admit, draining retire) — the same orchestration
+	// the simulator's worlds run, here on the wall clock over net.Dial.
+	orch *tier.Tier
 
 	asMu       sync.Mutex
 	autoscaler *autoscale.Controller
@@ -685,10 +688,10 @@ func (t *DomesticTier) Shards() []*DomesticProxy { return t.shards }
 // Addrs returns every shard's public proxy address in tier order, up or
 // down.
 func (t *DomesticTier) Addrs() []string {
-	if t.director == nil {
+	if t.orch == nil {
 		return nil
 	}
-	return t.director.Ring().Names()
+	return t.orch.Ring().Names()
 }
 
 // PAC returns the tier's proxy auto-config file (every shard serves an
@@ -705,10 +708,10 @@ func (t *DomesticTier) SetWhitelist(domains []string) {
 // MarkDown coordinates a takedown: the seized shard's key range rehashes
 // to survivors and every shard's PAC stops listing it, so users'
 // next PAC download routes only to live shards.
-func (t *DomesticTier) MarkDown(addr string) { t.director.MarkDown(addr) }
+func (t *DomesticTier) MarkDown(addr string) { t.orch.MarkDown(addr) }
 
 // MarkUp readmits a recovered shard tier-wide.
-func (t *DomesticTier) MarkUp(addr string) { t.director.MarkUp(addr) }
+func (t *DomesticTier) MarkUp(addr string) { t.orch.MarkUp(addr) }
 
 // Autoscaler returns the running controller, or nil before
 // StartAutoscale.
@@ -742,39 +745,14 @@ func (t *DomesticTier) StartAutoscale(o AutoscaleOptions) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
-	if o.InitialShards > len(t.shards) {
-		return fmt.Errorf("scholarcloud: StartAutoscale InitialShards (%d) exceeds the tier's %d shards", o.InitialShards, len(t.shards))
-	}
 	t.asMu.Lock()
 	defer t.asMu.Unlock()
 	if t.autoscaler != nil {
 		return errors.New("scholarcloud: the tier's autoscaler is already running")
 	}
-
-	ring := t.director.Ring()
-	addrs := ring.Names()
-	for i := o.InitialShards; i < len(addrs); i++ {
-		ring.MarkDown(addrs[i])
-	}
-	up := ring.Up()
-	for _, d := range t.shards {
-		d.policy.SetProxies(up)
-	}
-
-	pol := o.Policy
-	if pol.MinShards == 0 {
-		pol.MinShards = o.InitialShards
-	}
-	if pol.MaxShards == 0 {
-		pol.MaxShards = len(t.shards)
-	}
-	ctl, err := autoscale.New(autoscale.Config{
-		Policy: pol,
-		Sample: t.sampleTier,
-		Apply:  t.applyScale,
-	})
+	ctl, err := t.orch.Autoscale(o.InitialShards, o.Policy, t.demand)
 	if err != nil {
-		return err
+		return fmt.Errorf("scholarcloud: StartAutoscale: %w", err)
 	}
 	for _, d := range t.shards {
 		ctl.Instrument(d.reg)
@@ -785,19 +763,16 @@ func (t *DomesticTier) StartAutoscale(o AutoscaleOptions) error {
 	return nil
 }
 
-// sampleTier assembles the controller's view from live readings: active
-// shard count from the ring, demand as the tier-wide proxied-request rate
-// since the previous tick, hit rate from the summed cache counters.
-func (t *DomesticTier) sampleTier() autoscale.Sample {
-	var reqs, hits, lookups int64
+// demand is the tier-wide proxied-request rate since the previous
+// controller tick (the page-load p99 is not measured proxy-side).
+func (t *DomesticTier) demand() (float64, time.Duration) {
+	var reqs int64
 	for _, d := range t.shards {
 		reqs += d.reg.Snapshot().Counter("core.domestic.requests")
-		st := d.domestic.Cache.Snapshot()
-		hits += st.Hits
-		lookups += st.Hits + st.Misses
 	}
 	now := time.Now()
 	t.asMu.Lock()
+	defer t.asMu.Unlock()
 	rate := 0.0
 	if t.haveSample {
 		if dt := now.Sub(t.lastSample).Seconds(); dt > 0 {
@@ -805,158 +780,7 @@ func (t *DomesticTier) sampleTier() autoscale.Sample {
 		}
 	}
 	t.lastReqs, t.lastSample, t.haveSample = reqs, now, true
-	t.asMu.Unlock()
-	hitRate := -1.0
-	if lookups > 0 {
-		hitRate = float64(hits) / float64(lookups)
-	}
-	return autoscale.Sample{
-		ActiveShards:    len(t.director.Ring().Up()),
-		SessionsPerSec:  rate,
-		HitRate:         hitRate,
-		HostUtilization: -1,
-	}
-}
-
-// applyScale is the controller's actuator: grow to `to` active shards by
-// admitting standbys (lowest index first, each warmed up before joining
-// the ring), shrink by retiring actives (highest index first, each
-// drained with key handoff). Shard 0 never retires.
-func (t *DomesticTier) applyScale(from, to int) error {
-	ring := t.director.Ring()
-	for len(ring.Up()) < to {
-		i := t.shardWhere(ring.IsDown)
-		if i < 0 {
-			break
-		}
-		t.admitShard(i)
-	}
-	for len(ring.Up()) > to {
-		i := t.lastActive()
-		if i <= 0 {
-			break
-		}
-		t.retireShard(i)
-	}
-	return nil
-}
-
-// shardWhere returns the lowest shard index whose address satisfies pred,
-// or -1.
-func (t *DomesticTier) shardWhere(pred func(string) bool) int {
-	for i, a := range t.director.Ring().Names() {
-		if pred(a) {
-			return i
-		}
-	}
-	return -1
-}
-
-// lastActive returns the highest live shard index, or -1.
-func (t *DomesticTier) lastActive() int {
-	addrs := t.director.Ring().Names()
-	for i := len(addrs) - 1; i >= 0; i-- {
-		if !t.director.Ring().IsDown(addrs[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// errWarmupNoBorder makes a warm-up Fetch fail closed: when the sibling
-// path cannot supply a key, the pre-seed skips it rather than crossing
-// the border.
-var errWarmupNoBorder = errors.New("scholarcloud: warm-up fetch must not cross the border")
-
-// activeTierKeys is the union of fresh cache keys across live shards,
-// sorted for a stable warm-up sweep order.
-func (t *DomesticTier) activeTierKeys() []string {
-	ring := t.director.Ring()
-	addrs := ring.Names()
-	seen := make(map[string]bool)
-	var keys []string
-	for i, d := range t.shards {
-		if ring.IsDown(addrs[i]) {
-			continue
-		}
-		for _, k := range d.domestic.Cache.Keys() {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// admitShard warms up standby shard i and admits it to the ring. Before
-// the Director announces the join, the shard pre-seeds every fresh key it
-// is about to own — ownership computed on a candidate ring that includes
-// it — from the key's current owner over the sibling-fetch path: the
-// joiner is still outside the live ring, so its peered Fetch routes to
-// the owner, and the border fetcher refuses, so a scale-up moves only
-// domestic bytes. Returns the number of keys pre-seeded.
-func (t *DomesticTier) admitShard(i int) int {
-	ring := t.director.Ring()
-	addr := ring.Names()[i]
-	if !ring.IsDown(addr) {
-		return 0
-	}
-	cand := shard.NewRing(append(ring.Up(), addr))
-	noBorder := func(map[string]string) (*httpsim.Response, error) {
-		return nil, errWarmupNoBorder
-	}
-	preseeded := 0
-	for _, key := range t.activeTierKeys() {
-		if cand.Owner(key) != addr {
-			continue
-		}
-		if _, _, err := t.shards[i].domestic.Cache.Fetch(key, noBorder); err == nil {
-			preseeded++
-		}
-	}
-	t.director.MarkUp(addr)
-	return preseeded
-}
-
-// retireShard drains active shard i out of the ring: the Director first
-// rehashes its key range and republishes the PAC (new sessions route to
-// survivors; the shard's listener stays open so in-flight sessions
-// finish), then every fresh key the leaver held is pulled by its new
-// owner over the sibling path — a domestic transfer, not a border
-// refetch. Shard 0 never retires. Returns the number of keys handed off.
-func (t *DomesticTier) retireShard(i int) int {
-	ring := t.director.Ring()
-	addrs := ring.Names()
-	addr := addrs[i]
-	if i <= 0 || ring.IsDown(addr) {
-		return 0
-	}
-	keys := t.shards[i].domestic.Cache.Keys()
-	t.director.MarkDown(addr)
-	handed := 0
-	for _, key := range keys {
-		oi := -1
-		owner := ring.Owner(key)
-		for j, a := range addrs {
-			if a == owner {
-				oi = j
-				break
-			}
-		}
-		if oi < 0 || oi == i {
-			continue
-		}
-		key := key
-		fromLeaver := func(map[string]string) (*httpsim.Response, error) {
-			return core.SiblingFetcher(net.Dial)(addr, key)
-		}
-		if _, _, err := t.shards[oi].domestic.Cache.FetchLocal(key, fromLeaver); err == nil {
-			handed++
-		}
-	}
-	return handed
+	return rate, 0
 }
 
 // StartDomesticTier launches a sharded domestic tier of n proxies in one
@@ -1011,25 +835,21 @@ func StartDomesticTier(cfg DomesticConfig, n int) (*DomesticTier, error) {
 	// The shard list exists only now (ephemeral listens get their port at
 	// bind time), so ring, PAC tier, and cache peering wire up after the
 	// fact — the same post-start order a rolling tier restart would see.
-	ring := shard.NewRing(addrs)
-	t.director = shard.NewDirector(ring)
-	t.director.SetClock(time.Now)
+	members := make([]tier.Member, n)
 	for i, d := range t.shards {
-		d.ring = ring
-		d.policy.SetProxies(addrs)
-		d.domestic.Cache.SetPeers(&cache.Peers{
-			Self:  addrs[i],
-			Owner: ring.Owner,
-			Fetch: core.SiblingFetcher(net.Dial),
-		})
-		// Tier membership on every shard's /metrics: live shard count,
-		// configured members, last-rebalance timestamp.
-		t.director.Instrument(d.reg)
+		members[i] = tier.Member{Addr: addrs[i], Cache: d.domestic.Cache, Dial: net.Dial}
 	}
-	t.director.OnChange(func(up []string) {
+	t.orch = tier.New(members, time.Now, func(up []string) {
 		for _, d := range t.shards {
 			d.policy.SetProxies(up)
 		}
 	})
+	t.orch.Peer()
+	for _, d := range t.shards {
+		d.ring = t.orch.Ring()
+		// Tier membership on every shard's /metrics: live shard count,
+		// configured members, last-rebalance timestamp.
+		t.orch.Instrument(d.reg)
+	}
 	return t, nil
 }

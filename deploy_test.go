@@ -1013,7 +1013,7 @@ func TestRealSocketAutoscaledTier(t *testing.T) {
 	hitsBefore := originHits()
 	preseeded := 0
 	for i := 1; i < 3; i++ {
-		preseeded += tier.admitShard(i)
+		preseeded += tier.orch.Admit(i)
 	}
 	if preseeded == 0 {
 		t.Error("scale-up pre-seeded no keys")
@@ -1034,7 +1034,7 @@ func TestRealSocketAutoscaledTier(t *testing.T) {
 		proxyGet(t, tier.Shards()[2].ProxyAddr().String(), fmt.Sprintf("http://%s/cite/%d", origin, i))
 	}
 	hitsBefore = originHits()
-	handed := tier.retireShard(2)
+	handed := tier.orch.Retire(2)
 	if handed == 0 {
 		t.Error("scale-down handed no keys to the survivors")
 	}

@@ -154,7 +154,7 @@ func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*Autoscal
 	start := w.Env.Clock.Now()
 	startActive := w.shardCount()
 	if w.Autoscaler != nil {
-		startActive = len(w.ShardRing.Up())
+		startActive = len(w.Tier.Ring().Up())
 	}
 	var plts []time.Duration
 	for _, ph := range phases {
@@ -261,30 +261,7 @@ func autoscaleVariants() []struct {
 	}
 }
 
-// ReportAutoscale renders the autoscale experiment sequentially: both
-// schedules under each provisioning mode.
-func ReportAutoscale(seed uint64, q Quality) (string, error) {
-	var b strings.Builder
-	b.WriteString(autoscaleTitle)
-	b.WriteString(autoscaleHeaderRow())
-	for _, sc := range []struct {
-		name   string
-		phases []LoadPhase
-	}{{"flash", FlashCrowdSchedule(q)}, {"diurnal", DiurnalSchedule(q)}} {
-		for _, v := range autoscaleVariants() {
-			w := NewWorld(autoscaleCellConfig(seed, v.Shards, v.Initial))
-			p, err := w.MeasureAutoscale(sc.name, sc.phases)
-			w.Close()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(autoscaleRow(p))
-		}
-	}
-	return b.String(), nil
-}
-
-// autoscalePlan re-cells ReportAutoscale for the parallel sweep runner:
+// autoscalePlan renders both schedules under each provisioning mode:
 // one world per (schedule, provisioning mode).
 func autoscalePlan(q Quality) figurePlan {
 	schedules := []struct {

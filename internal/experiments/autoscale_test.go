@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -71,7 +73,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 		RunGuard:           sweepRunGuard,
 	})
 	defer w.Close()
-	if got := len(w.ShardRing.Up()); got != 2 {
+	if got := len(w.Tier.Ring().Up()); got != 2 {
 		t.Fatalf("active shards at start = %d, want 2 (shard 2 parked as standby)", got)
 	}
 
@@ -84,7 +86,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 	borderBefore := w.Border.Stats().Bytes
 	var preseeded int
 	if err := w.Run(func() error {
-		preseeded = w.AdmitShard(2)
+		preseeded = w.Tier.Admit(2)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -95,7 +97,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 	if delta := w.Border.Stats().Bytes - borderBefore; delta != 0 {
 		t.Errorf("warm-up moved %d bytes across the border, want 0", delta)
 	}
-	if got := len(w.ShardRing.Up()); got != 3 {
+	if got := len(w.Tier.Ring().Up()); got != 3 {
 		t.Errorf("active shards after admit = %d, want 3", got)
 	}
 	if got := len(w.ShardCaches[2].Keys()); got < preseeded {
@@ -125,7 +127,7 @@ func TestRetireShardDrainsWithoutBorderRefetch(t *testing.T) {
 	if err := w.Run(func() error {
 		w.Env.Spawn.Go(func() {
 			w.Env.Clock.Sleep(30 * time.Second)
-			handed = w.RetireShard(2)
+			handed = w.Tier.Retire(2)
 		})
 		wg := w.Env.NewWaitGroup()
 		for i := 0; i < clients; i++ {
@@ -171,7 +173,7 @@ func TestRetireShardDrainsWithoutBorderRefetch(t *testing.T) {
 	if handed == 0 {
 		t.Error("retirement handed no keys to the survivors")
 	}
-	if !w.ShardRing.IsDown(w.ShardAddrs[2]) {
+	if !w.Tier.Ring().IsDown(w.ShardAddrs[2]) {
 		t.Error("shard 2 still live after retirement")
 	}
 
@@ -184,12 +186,12 @@ func TestRetireShardDrainsWithoutBorderRefetch(t *testing.T) {
 	}
 	if err := w.Run(func() error {
 		for _, key := range leaverKeys {
-			oi := w.shardIndexOf(w.ShardRing.Owner(key))
+			oi := slices.Index(w.ShardAddrs, w.Tier.Ring().Owner(key))
 			if oi < 0 || oi == 2 {
 				t.Fatalf("key %q still owned by the retired shard", key)
 			}
 			resp, outcome, err := w.ShardCaches[oi].FetchLocal(key, func(map[string]string) (*httpsim.Response, error) {
-				return nil, errWarmupNoBorder
+				return nil, errors.New("the border fetcher must not fire")
 			})
 			if err != nil || resp == nil || outcome != cache.Hit {
 				t.Errorf("key %q at shard %d: outcome %v err %v, want a warm hit after the drain", key, oi, outcome, err)

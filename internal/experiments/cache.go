@@ -100,28 +100,8 @@ func cacheHeaderRow() string {
 
 const cacheTitle = "Shared cache — domestic-proxy content cache (ScholarCloud, continuous browsing)\n"
 
-// ReportCache renders the shared-cache sweep sequentially: each
-// (load, cache) cell in its own world, cache off and on side by side.
-func ReportCache(seed uint64, q Quality) (string, error) {
-	var b strings.Builder
-	b.WriteString(cacheTitle)
-	b.WriteString(cacheHeaderRow())
-	for _, load := range cacheSweepLoads {
-		for _, mb := range []int{0, cacheSweepMB} {
-			w := NewWorld(Config{Seed: seed, CacheMB: mb})
-			p, err := w.MeasureCacheLoad(load, q.ScaleRounds)
-			w.Close()
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(cacheRow(p))
-		}
-	}
-	return b.String(), nil
-}
-
-// cachePlan re-cells ReportCache for the parallel sweep runner: one world
-// per (load, cache) cell.
+// cachePlan renders the shared-cache sweep, cache off and on side by
+// side: one world per (load, cache) cell.
 func cachePlan(q Quality) figurePlan {
 	var cells []cell
 	for _, load := range cacheSweepLoads {

@@ -85,32 +85,6 @@ func faultsHeader(rounds int) string {
 	return b.String()
 }
 
-// ReportFaults renders the faults figure sequentially (the single-process
-// counterpart of faultsPlan, used by the Report* path).
-func ReportFaults(seed uint64, q Quality) (string, error) {
-	rounds := q.ScaleRounds + 1
-	var b strings.Builder
-	b.WriteString(faultsHeader(rounds))
-	for _, scenario := range faults.Scenarios() {
-		for _, resil := range []bool{false, true} {
-			w := NewWorld(Config{
-				Seed:          seed,
-				FleetRemotes:  faultsRemotes,
-				FaultScenario: scenario,
-				Resilience:    resil,
-			})
-			r, err := w.MeasureFaults(faultsClients, rounds)
-			if err != nil {
-				w.Close()
-				return "", err
-			}
-			b.WriteString(faultsRow(r))
-			w.Close()
-		}
-	}
-	return b.String(), nil
-}
-
 // faultsPlan decomposes the faults figure for the parallel harness: one
 // world per (scenario, resilience) cell, every cell deterministic, merged
 // in declaration order.

@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -146,74 +145,4 @@ func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration
 	}
 	res.PLT = metrics.SummarizeDurations(plts)
 	return res, nil
-}
-
-// ReportFleet renders the fleet-scalability experiment: a Fig. 7-style
-// PLT-vs-clients sweep under continuous browsing at 1/2/4 fleet remotes
-// plus the legacy single-session path as baseline, then a
-// takedown-during-load run. Each point builds its own world so the
-// fleets do not share state.
-//
-// The legacy deployment only appears at the base load: past it, the lone
-// carrier's queue diverges and the sweep never completes (measured — it
-// trips the simulation's wall-clock guard), which is itself the result.
-func ReportFleet(seed uint64, q Quality) (string, error) {
-	var b strings.Builder
-	// Loads are fixed rather than quality-scaled: 120 clients is where the
-	// legacy deployment saturates, and 4× that is where a one-remote fleet
-	// visibly trails a four-remote one. Quality only sets rounds.
-	const clients = 120
-
-	measure := func(remotes, n int) (*ScalabilityPoint, error) {
-		w := NewWorld(Config{Seed: seed, FleetRemotes: remotes})
-		defer w.Close()
-		return w.MeasureFleetScalability(n, q.ScaleRounds)
-	}
-	label := func(remotes int) string {
-		if remotes == 0 {
-			return "single (legacy)"
-		}
-		return fmt.Sprintf("fleet, %d remote(s)", remotes)
-	}
-
-	fmt.Fprintf(&b, "Fleet — remote-proxy pool scalability (ScholarCloud, continuous browsing)\n")
-	fmt.Fprintf(&b, "  %-10s %-18s %-10s %-10s %-8s %s\n",
-		"clients", "deployment", "mean-PLT", "p95-PLT", "failed", "visits")
-	for _, load := range []int{clients, 2 * clients, 4 * clients} {
-		for _, remotes := range []int{0, 1, 2, 4} {
-			if remotes == 0 && load > clients {
-				fmt.Fprintf(&b, "  %-10d %-18s %s\n", load, label(0),
-					"(does not complete: single-carrier queue diverges)")
-				continue
-			}
-			p, err := measure(remotes, load)
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "  %-10d %-18s %-10s %-10s %-8d %d\n", load, label(remotes),
-				metrics.FormatSeconds(p.PLT.Mean), metrics.FormatSeconds(p.PLT.P95),
-				p.Failed, p.PLT.N)
-		}
-	}
-
-	// Takedown under load: seize the primary remote mid-sweep.
-	w := NewWorld(Config{Seed: seed, FleetRemotes: 4})
-	defer w.Close()
-	killAt := visitInterval / 2
-	res, err := w.MeasureFleetTakedown(60, q.ScaleRounds+1, 0, killAt)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "\nTakedown during load (%d clients, 4 remotes; primary seized at t=%s)\n",
-		res.Clients, metrics.FormatSeconds(killAt.Seconds()))
-	fmt.Fprintf(&b, "  %-28s %-8s %s\n", "visits started", "count", "failed")
-	fmt.Fprintf(&b, "  %-28s %-8d %d\n", "before takedown", res.VisitsBefore, res.FailedBefore)
-	fmt.Fprintf(&b, "  %-28s %-8d %d\n",
-		fmt.Sprintf("within ejection window (%s)", metrics.FormatSeconds(res.Window.Seconds())),
-		res.VisitsWindow, res.FailedWindow)
-	fmt.Fprintf(&b, "  %-28s %-8d %d\n", "after ejection window", res.VisitsAfter, res.FailedAfter)
-	if res.FailedAfter > 0 {
-		fmt.Fprintf(&b, "  WARNING: failures persisted past the ejection window\n")
-	}
-	return b.String(), nil
 }

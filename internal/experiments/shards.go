@@ -60,19 +60,8 @@ func (w *World) shardCount() int {
 // tierCacheStats sums cache counters across the domestic tier; on
 // single-proxy worlds it is the lone cache's snapshot.
 func (w *World) tierCacheStats() cache.Stats {
-	if len(w.ShardCaches) > 0 {
-		var total cache.Stats
-		for _, cc := range w.ShardCaches {
-			s := cc.Snapshot()
-			total.Hits += s.Hits
-			total.Misses += s.Misses
-			total.Coalesced += s.Coalesced
-			total.Revalidated += s.Revalidated
-			total.SiblingFetches += s.SiblingFetches
-			total.SiblingErrors += s.SiblingErrors
-			total.BorderFetches += s.BorderFetches
-		}
-		return total
+	if w.Tier != nil {
+		return w.Tier.CacheStats()
 	}
 	if w.Cache != nil {
 		return w.Cache.Snapshot()
@@ -154,7 +143,7 @@ func (r *ShardKillResult) SuccessAfter() float64 {
 // victim must not be shard 0 (it hosts the PAC web endpoint, which real
 // deployments would serve from every shard or a separate box).
 func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*ShardKillResult, error) {
-	if w.ShardDirector == nil {
+	if w.Tier == nil {
 		return nil, fmt.Errorf("experiments: world has no shard tier (Config.Shards < 2)")
 	}
 	if victim <= 0 || victim >= len(w.ShardAddrs) {
@@ -268,31 +257,6 @@ func shardKillSection(res *ShardKillResult) string {
 	return b.String()
 }
 
-// ReportShards renders the sharded-tier experiment sequentially: the
-// 1/2/4/8-shard sweep at a fixed load, then the shard-seizure episode.
-func ReportShards(seed uint64, q Quality) (string, error) {
-	var b strings.Builder
-	b.WriteString(shardsTitle)
-	b.WriteString(shardsHeaderRow())
-	for _, k := range shardSweepCounts {
-		w := NewWorld(shardCellConfig(seed, k, false))
-		p, err := w.MeasureShards(shardSweepClients, q.ScaleRounds)
-		w.Close()
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(shardsRow(p))
-	}
-	w := NewWorld(shardCellConfig(seed, 4, true))
-	defer w.Close()
-	res, err := w.MeasureShardKill(shardSweepClients, q.ScaleRounds+1, 1, cacheStressInterval)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(shardKillSection(res))
-	return b.String(), nil
-}
-
 // shardCellConfig builds the sweep's world configuration for k shards.
 // The cache is always on (the tier requires it); resilience rides along
 // on the seizure episode so in-flight visits retry onto survivors.
@@ -308,8 +272,8 @@ func shardCellConfig(seed uint64, k int, resilience bool) Config {
 	}
 }
 
-// shardsPlan re-cells ReportShards for the parallel sweep runner: one
-// world per shard count plus the seizure episode.
+// shardsPlan renders the 1/2/4/8-shard sweep at a fixed load, then the
+// shard-seizure episode: one world per shard count plus the seizure.
 func shardsPlan(q Quality) figurePlan {
 	var cells []cell
 	for _, k := range shardSweepCounts {

@@ -103,7 +103,7 @@ func TestShardKillRehashesAndRecovers(t *testing.T) {
 	var victimKeys []string
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("https://scholar.google.com:443/cite/%d", i)
-		if w.ShardRing.Owner(key) == victimAddr {
+		if w.Tier.Ring().Owner(key) == victimAddr {
 			victimKeys = append(victimKeys, key)
 		}
 	}
@@ -123,11 +123,11 @@ func TestShardKillRehashesAndRecovers(t *testing.T) {
 			res.SuccessAfter(), res.FailedAfter, res.VisitsAfter)
 	}
 
-	if !w.ShardRing.IsDown(victimAddr) {
+	if !w.Tier.Ring().IsDown(victimAddr) {
 		t.Error("ring does not mark the seized shard down")
 	}
 	for _, key := range victimKeys {
-		if o := w.ShardRing.Owner(key); o == victimAddr {
+		if o := w.Tier.Ring().Owner(key); o == victimAddr {
 			t.Fatalf("key %q still owned by the dead shard", key)
 		}
 	}

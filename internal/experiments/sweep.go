@@ -679,8 +679,10 @@ func opsPlan(q Quality) figurePlan {
 	}
 }
 
-// fleetPlan re-cells ReportFleet: one world per (load, remotes) sweep
-// point plus the takedown run. Fleet worlds never quiesce (the prober is a
+// fleetPlan renders the fleet-scalability experiment: a Fig. 7-style
+// PLT-vs-clients sweep at 1/2/4 fleet remotes with the legacy
+// single-session path as baseline, one world per (load, remotes) point,
+// plus the takedown run. Fleet worlds never quiesce (the prober is a
 // recurring timer), so these cells carry no obs snapshot; the rendered
 // rows themselves are still deterministic, since every measurement
 // happens on the virtual clock.

@@ -195,30 +195,6 @@ func transportsHeader(rounds int) string {
 	return b.String()
 }
 
-// ReportTransports renders the transport-ladder figure sequentially (the
-// single-process counterpart of transportsPlan, used by the Report*
-// path).
-func ReportTransports(seed uint64, q Quality) (string, error) {
-	rounds := q.ScaleRounds + 1
-	var b strings.Builder
-	b.WriteString(transportsHeader(rounds))
-	for _, stage := range TransportStages() {
-		w := NewWorld(Config{
-			Seed:       seed,
-			Transports: carrier.Known(),
-			Resilience: true,
-		})
-		r, err := w.MeasureTransports(stage, transportsClients, rounds)
-		if err != nil {
-			w.Close()
-			return "", err
-		}
-		b.WriteString(transportsRow(r))
-		w.Close()
-	}
-	return b.String(), nil
-}
-
 // transportsPlan decomposes the transport-ladder figure for the parallel
 // harness: one world per censor stage, every cell deterministic, merged
 // in declaration order.

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -27,7 +25,7 @@ import (
 	"scholarcloud/internal/pki"
 	"scholarcloud/internal/registry"
 	"scholarcloud/internal/shadowsocks"
-	"scholarcloud/internal/shard"
+	"scholarcloud/internal/tier"
 	"scholarcloud/internal/tlssim"
 	"scholarcloud/internal/tor"
 	"scholarcloud/internal/tunnel"
@@ -216,9 +214,11 @@ type World struct {
 	ShardDomestics []*core.Domestic
 	ShardCaches    []*cache.Cache
 	ShardAddrs     []string
-	ShardRing      *shard.Ring
-	ShardDirector  *shard.Director
 	shardProxies   []*httpsim.Proxy
+	// Tier is the shard tier's control plane (ring, Director, cache
+	// peering, warm-up admit, draining retire) — the same orchestration
+	// the real-socket DomesticTier runs, here on the virtual clock.
+	Tier *tier.Tier
 
 	// Autoscaler is the tier's scaling control loop when
 	// Cfg.AutoscaleInitial > 0 (nil otherwise). Measurements feed it the
@@ -851,7 +851,6 @@ func (w *World) startScholarCloud() {
 		for i := 0; i < w.Cfg.Shards; i++ {
 			w.ShardAddrs = append(w.ShardAddrs, w.ShardAddr(i))
 		}
-		w.Whitelist.SetProxies(w.ShardAddrs)
 	}
 
 	epoch := w.Cfg.BlindingEpoch
@@ -888,28 +887,7 @@ func (w *World) startScholarCloud() {
 	}
 
 	if w.Cfg.Shards > 1 {
-		w.ShardRing = shard.NewRing(w.ShardAddrs)
-		w.ShardRing.SetRehashOnDeath(w.Cfg.ShardRehashOnDeath)
-		w.ShardDirector = shard.NewDirector(w.ShardRing)
-		w.ShardDirector.SetClock(w.Env.Clock.Now)
-		w.ShardDirector.Instrument(w.Obs)
-		// The coordinated-takedown hook: every health transition republishes
-		// the live shard set into the PAC policy, so users' next evaluation
-		// (the refreshed PAC a real browser would re-download) routes only
-		// to survivors.
-		w.ShardDirector.OnChange(func(up []string) { w.Whitelist.SetProxies(up) })
-		if w.Cfg.ShardSiblingFetch {
-			for i, cc := range w.ShardCaches {
-				cc.SetPeers(&cache.Peers{
-					Self:  w.ShardAddrs[i],
-					Owner: w.ShardRing.Owner,
-					Fetch: core.SiblingFetcher(w.ShardHosts[i].Dial),
-				})
-			}
-		}
-		if w.Cfg.AutoscaleInitial > 0 {
-			w.startAutoscaler()
-		}
+		w.startTier()
 	}
 
 	switch {
@@ -1024,45 +1002,40 @@ func (w *World) startDomesticShard(i int) {
 // permitting) and the PAC policy republishes so users route elsewhere.
 func (w *World) KillShard(i int) {
 	w.shardProxies[i].Close()
-	w.ShardDirector.MarkDown(w.ShardAddrs[i])
+	w.Tier.MarkDown(w.ShardAddrs[i])
 }
 
-// errWarmupNoBorder makes a warm-up Fetch fail closed: when the sibling
-// path cannot supply a key, the pre-seed skips it rather than crossing
-// the border.
-var errWarmupNoBorder = errors.New("experiments: warm-up fetch must not cross the border")
-
-// startAutoscaler parks the standby shards (marked down in the ring, so
-// the initial PAC and key ownership cover only the active prefix) and
-// starts the control loop on the virtual clock.
-func (w *World) startAutoscaler() {
-	for i := w.Cfg.AutoscaleInitial; i < w.Cfg.Shards; i++ {
-		w.ShardRing.MarkDown(w.ShardAddrs[i])
+// startTier hands the provisioned shards to the shared tier control
+// plane. Every health transition republishes the live shard set into the
+// PAC policy, so users' next evaluation (the refreshed PAC a real browser
+// would re-download) routes only to survivors. With AutoscaleInitial set
+// the standbys are parked and the control loop starts on the virtual
+// clock, fed by SetDemand.
+func (w *World) startTier() {
+	members := make([]tier.Member, len(w.ShardAddrs))
+	for i, addr := range w.ShardAddrs {
+		members[i] = tier.Member{Addr: addr, Cache: w.ShardCaches[i], Dial: w.ShardHosts[i].Dial}
 	}
-	w.Whitelist.SetProxies(w.ShardRing.Up())
-
-	pol := w.Cfg.AutoscalePolicy
-	if pol.MinShards == 0 {
-		pol.MinShards = w.Cfg.AutoscaleInitial
+	w.Tier = tier.New(members, w.Env.Clock.Now, w.Whitelist.SetProxies)
+	w.Tier.Ring().SetRehashOnDeath(w.Cfg.ShardRehashOnDeath)
+	w.Tier.Instrument(w.Obs)
+	if w.Cfg.ShardSiblingFetch {
+		w.Tier.Peer()
 	}
-	if pol.MaxShards == 0 {
-		pol.MaxShards = w.Cfg.Shards
+	if w.Cfg.AutoscaleInitial == 0 {
+		return
 	}
-	ctl, err := autoscale.New(autoscale.Config{
-		Policy: pol,
-		Sample: w.autoscaleSample,
-		Apply:  w.applyScale,
+	ctl, err := w.Tier.Autoscale(w.Cfg.AutoscaleInitial, w.Cfg.AutoscalePolicy, func() (float64, time.Duration) {
+		w.demandMu.Lock()
+		defer w.demandMu.Unlock()
+		return w.demandSessions, w.demandP99
 	})
 	if err != nil {
 		panic(err)
 	}
 	ctl.Instrument(w.Obs)
 	w.Autoscaler = ctl
-	interval := w.Cfg.AutoscaleInterval
-	if interval == 0 {
-		interval = 15 * time.Second
-	}
-	w.Env.Spawn.Go(func() { ctl.Run(w.Env, interval) })
+	w.Env.Spawn.Go(func() { ctl.Run(w.Env, w.Cfg.AutoscaleInterval) })
 }
 
 // SetDemand publishes the offered load the autoscaler samples: sessions
@@ -1073,163 +1046,6 @@ func (w *World) SetDemand(sessionsPerSec float64, p99 time.Duration) {
 	w.demandMu.Lock()
 	w.demandSessions, w.demandP99 = sessionsPerSec, p99
 	w.demandMu.Unlock()
-}
-
-// autoscaleSample assembles the controller's view of the tier: the
-// measurement-fed demand signal plus live readings — active shard count
-// from the ring, hit rate from the tier's cache counters.
-func (w *World) autoscaleSample() autoscale.Sample {
-	w.demandMu.Lock()
-	demand, p99 := w.demandSessions, w.demandP99
-	w.demandMu.Unlock()
-	s := w.tierCacheStats()
-	hitRate := -1.0
-	if lookups := s.Hits + s.Misses; lookups > 0 {
-		hitRate = float64(s.Hits) / float64(lookups)
-	}
-	return autoscale.Sample{
-		ActiveShards:    len(w.ShardRing.Up()),
-		SessionsPerSec:  demand,
-		P99PLT:          p99,
-		HitRate:         hitRate,
-		HostUtilization: -1,
-	}
-}
-
-// applyScale is the controller's actuator: grow to `to` active shards by
-// admitting standbys (lowest index first, each warmed up before joining
-// the ring), shrink by retiring actives (highest index first, each
-// drained with key handoff). Shard 0 — the PAC host — never retires.
-func (w *World) applyScale(from, to int) error {
-	for len(w.ShardRing.Up()) < to {
-		i := w.lowestStandby()
-		if i < 0 {
-			break
-		}
-		w.AdmitShard(i)
-	}
-	for len(w.ShardRing.Up()) > to {
-		i := w.highestActive()
-		if i <= 0 {
-			break
-		}
-		w.RetireShard(i)
-	}
-	return nil
-}
-
-func (w *World) lowestStandby() int {
-	for i, a := range w.ShardAddrs {
-		if w.ShardRing.IsDown(a) {
-			return i
-		}
-	}
-	return -1
-}
-
-func (w *World) highestActive() int {
-	for i := len(w.ShardAddrs) - 1; i >= 0; i-- {
-		if !w.ShardRing.IsDown(w.ShardAddrs[i]) {
-			return i
-		}
-	}
-	return -1
-}
-
-// activeTierKeys is the union of fresh cache keys across live shards,
-// sorted so warm-up and drain sweeps visit keys in the same order in
-// every run.
-func (w *World) activeTierKeys() []string {
-	seen := make(map[string]bool)
-	var keys []string
-	for j, cc := range w.ShardCaches {
-		if cc == nil || w.ShardRing.IsDown(w.ShardAddrs[j]) {
-			continue
-		}
-		for _, k := range cc.Keys() {
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, k)
-			}
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// AdmitShard warms up standby shard i and admits it to the ring. Before
-// the Director announces the join, the shard pre-seeds every fresh key
-// it is about to own — ownership computed on a candidate ring that
-// includes it — from the key's current owner over the sibling-fetch
-// path: the joiner is still outside the live ring, so its peered Fetch
-// routes to the owner, and the border fetcher refuses, so a scale-up
-// moves only domestic bytes. Returns the number of keys pre-seeded.
-// Must be called inside a Run window (it drives simulated dials).
-func (w *World) AdmitShard(i int) int {
-	addr := w.ShardAddrs[i]
-	if !w.ShardRing.IsDown(addr) {
-		return 0
-	}
-	preseeded := 0
-	if w.Cfg.ShardSiblingFetch && w.ShardCaches[i] != nil {
-		cand := shard.NewRing(append(w.ShardRing.Up(), addr))
-		noBorder := func(map[string]string) (*httpsim.Response, error) {
-			return nil, errWarmupNoBorder
-		}
-		for _, key := range w.activeTierKeys() {
-			if cand.Owner(key) != addr {
-				continue
-			}
-			if _, _, err := w.ShardCaches[i].Fetch(key, noBorder); err == nil {
-				preseeded++
-			}
-		}
-	}
-	w.ShardDirector.MarkUp(addr)
-	return preseeded
-}
-
-// RetireShard drains active shard i out of the ring: the Director first
-// rehashes its key range and republishes the PAC (new sessions route to
-// survivors; the shard's listener stays open so in-flight sessions
-// finish), then every fresh key the leaver held is pulled by its new
-// owner over the sibling path — a domestic transfer, not a border
-// refetch. Shard 0 (the PAC host) never retires. Returns the number of
-// keys handed off. Must be called inside a Run window.
-func (w *World) RetireShard(i int) int {
-	addr := w.ShardAddrs[i]
-	if i <= 0 || i >= len(w.ShardAddrs) || w.ShardRing.IsDown(addr) {
-		return 0
-	}
-	var keys []string
-	if w.Cfg.ShardSiblingFetch && w.ShardCaches[i] != nil {
-		keys = w.ShardCaches[i].Keys()
-	}
-	w.ShardDirector.MarkDown(addr)
-	handed := 0
-	for _, key := range keys {
-		oi := w.shardIndexOf(w.ShardRing.Owner(key))
-		if oi < 0 || oi == i {
-			continue
-		}
-		key := key
-		fromLeaver := func(map[string]string) (*httpsim.Response, error) {
-			return core.SiblingFetcher(w.ShardHosts[oi].Dial)(addr, key)
-		}
-		if _, _, err := w.ShardCaches[oi].FetchLocal(key, fromLeaver); err == nil {
-			handed++
-		}
-	}
-	return handed
-}
-
-func (w *World) shardIndexOf(addr string) int {
-	for i, a := range w.ShardAddrs {
-		if a == addr {
-			return i
-		}
-	}
-	return -1
 }
 
 // startTransports stands up the cover infrastructure for each configured
