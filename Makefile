@@ -99,24 +99,18 @@ bench-compare:
 		-fresh /tmp/scholarbench-fresh.json -tolerance 0.5
 
 ## determinism: the parallel harness's core guarantee — the full figure
-## sweep (which includes the faults figure) must be byte-identical at
-## -parallel 1 and -parallel 4, and each fault- or control-loop-heavy
-## figure alone at a third worker count to cover odd scheduling
-## interleavings.
-DETERMINISM_FIGS = faults transports censor shards autoscale scale
-
+## sweep must be byte-identical at -parallel 1, 3 and 4, so every figure
+## in the plan table is checked at three worker counts (an odd one among
+## them, for odd scheduling interleavings) with no figure list to keep.
+## Subset selection (-fig NAME) is covered by TestSweepParallelDeterminism.
 determinism:
 	@$(GO) build -o /tmp/scholarbench-gate ./cmd/scholarbench
-	@/tmp/scholarbench-gate -fig all -parallel 1 > /tmp/scholarbench-p1.txt
-	@/tmp/scholarbench-gate -fig all -parallel 4 > /tmp/scholarbench-p4.txt
-	@cmp /tmp/scholarbench-p1.txt /tmp/scholarbench-p4.txt && \
-		echo "determinism gate: -parallel 4 output byte-identical to -parallel 1"
-	@for fig in $(DETERMINISM_FIGS); do \
-		/tmp/scholarbench-gate -fig $$fig -parallel 1 > /tmp/scholarbench-$$fig-p1.txt && \
-		/tmp/scholarbench-gate -fig $$fig -parallel 3 > /tmp/scholarbench-$$fig-p3.txt && \
-		cmp /tmp/scholarbench-$$fig-p1.txt /tmp/scholarbench-$$fig-p3.txt && \
-		echo "determinism gate: -fig $$fig byte-identical at -parallel 1 and -parallel 3" || exit 1; \
+	@for p in 1 3 4; do \
+		/tmp/scholarbench-gate -fig all -parallel $$p > /tmp/scholarbench-p$$p.txt || exit 1; \
 	done
+	@cmp /tmp/scholarbench-p1.txt /tmp/scholarbench-p3.txt && \
+		cmp /tmp/scholarbench-p1.txt /tmp/scholarbench-p4.txt && \
+		echo "determinism gate: -fig all byte-identical at -parallel 1, 3 and 4"
 
 ## figures: regenerate the paper's figures (quick sampling).
 figures:

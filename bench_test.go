@@ -145,10 +145,9 @@ func BenchmarkFig6aTraffic(b *testing.B) {
 // BenchmarkFig6bcClientCost reproduces Fig. 6b/6c: the modeled client CPU
 // and memory, driven by measured traffic.
 func BenchmarkFig6bcClientCost(b *testing.B) {
-	w := figureWorld(b, experiments.Config{})
-	q := experiments.Quick()
+	opts := experiments.SweepOptions{Workers: 1, Quality: experiments.Quick(), Figures: []string{"6bc"}}
 	for i := 0; i < b.N; i++ {
-		if _, err := w.ReportFig6bc(q); err != nil {
+		if _, err := experiments.RunSweep(opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,11 +340,7 @@ func BenchmarkFlowWorld(b *testing.B) {
 	var plt, kb float64
 	for i := 0; i < b.N; i++ {
 		w := figureWorld(b, experiments.Config{FleetRemotes: 32, CacheMB: 64})
-		f, ok := w.FactoryByName("scholarcloud")
-		if !ok {
-			b.Fatal("scholarcloud factory missing")
-		}
-		p, err := w.MeasureFlowScalability(f, 100_000, 2, 3)
+		p, err := w.MeasureFlowScalability(w.ScholarCloudFactory(), 100_000, 2, 3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -368,7 +363,7 @@ func BenchmarkAblationBlinding(b *testing.B) {
 		w := figureWorld(b, experiments.Config{})
 		ok := 0
 		for i := 0; i < b.N; i++ {
-			r, err := w.MeasurePLT(scFactory(w), 1, 1)
+			r, err := w.MeasurePLT(w.ScholarCloudFactory(), 1, 1)
 			if err == nil && r.Subsequent.N > 0 {
 				ok++
 			}
@@ -379,21 +374,12 @@ func BenchmarkAblationBlinding(b *testing.B) {
 		w := figureWorld(b, experiments.Config{ScholarCloudNoBlinding: true})
 		ok := 0
 		for i := 0; i < b.N; i++ {
-			if _, err := w.MeasurePLT(scFactory(w), 1, 1); err == nil {
+			if _, err := w.MeasurePLT(w.ScholarCloudFactory(), 1, 1); err == nil {
 				ok++
 			}
 		}
 		b.ReportMetric(float64(ok)/float64(b.N)*100, "%success")
 	})
-}
-
-func scFactory(w *experiments.World) experiments.Factory {
-	for _, f := range w.Methods() {
-		if f.Name == "scholarcloud" {
-			return f
-		}
-	}
-	panic("scholarcloud factory missing")
 }
 
 // BenchmarkAblationSSKeepAlive shows the paper's root-cause claim for

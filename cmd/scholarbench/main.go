@@ -3,11 +3,11 @@
 //
 // Usage:
 //
-//	scholarbench [-fig 2|3|4|5a|5b|5c|6a|6bc|7|ops|fleet|cache|faults|transports|censor|shards|autoscale|scale|all]
-//	             [-seed N] [-seeds N] [-parallel N] [-full] [-flow-clients LIST]
-//	             [-bench-out FILE]
+//	scholarbench [-fig NAME|all] [-seed N] [-seeds N] [-parallel N] [-full]
+//	             [-flow-clients LIST] [-bench-out FILE]
 //	scholarbench -trace <method>
 //
+// Figure names are experiments.FigureOrder; -h lists them.
 // Figures are decomposed into independent (cell × seed) worlds and run
 // over a bounded worker pool: -parallel N caps concurrent worlds (default
 // GOMAXPROCS), and -seeds N replicates every cell on seeds seed..seed+N-1,
@@ -27,6 +27,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,7 +38,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 2,3,4,5a,5b,5c,6a,6bc,7,ops,fleet,cache,faults,transports,censor,shards,autoscale,scale,all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(experiments.FigureOrder, ",")+",all")
 	seed := flag.Uint64("seed", 2017, "simulation seed")
 	seeds := flag.Int("seeds", 1, "replicate every figure cell on this many consecutive seeds (mean ± 95% CI tables when > 1)")
 	parallel := flag.Int("parallel", 0, "max concurrent simulated worlds (0 = GOMAXPROCS)")
@@ -50,12 +51,6 @@ func main() {
 	if *trace != "" {
 		runTrace(*trace, *seed)
 		return
-	}
-
-	if *fig != "all" && !experiments.KnownFigure(*fig) {
-		fmt.Fprintf(os.Stderr, "scholarbench: unknown figure %q (want one of %s, or all)\n",
-			*fig, strings.Join(experiments.FigureOrder, ","))
-		os.Exit(2)
 	}
 
 	q := experiments.Quick()
@@ -79,6 +74,9 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scholarbench: %v\n", err)
+		if errors.Is(err, experiments.ErrUnknownFigure) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	fmt.Print(res.Output)

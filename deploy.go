@@ -543,8 +543,6 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 		}
 		ladder = carrier.NewLadder(lcfg, rungs...)
 		ladder.Instrument(reg)
-		// The non-fleet fallback path dials whatever rung is active.
-		domestic.DialRemote = func() (net.Conn, error) { return ladder.Active().Dial() }
 		domestic.NextTransport = ladder.NextName
 		for _, tr := range rungs {
 			eps = append(eps, fleet.Endpoint{
@@ -554,7 +552,6 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 			})
 		}
 	} else {
-		domestic.DialRemote = func() (net.Conn, error) { return net.Dial("tcp", addrs[0]) }
 		for _, addr := range addrs {
 			addr := addr
 			eps = append(eps, fleet.Endpoint{

@@ -7,7 +7,7 @@ import (
 	"fmt"
 
 	"scholarcloud"
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 )
 
 func main() {
@@ -32,10 +32,10 @@ func main() {
 			panic(err)
 		}
 		fmt.Printf("%-13s %-12s %-12s %-10s %-8s\n", name,
-			metrics.FormatSeconds(plt.FirstTime.Mean),
-			metrics.FormatSeconds(plt.Subsequent.Mean),
-			metrics.FormatSeconds(rtt.RTT.Mean),
-			metrics.FormatPercent(plr.PLR))
+			obs.FormatSeconds(plt.FirstTime.Mean),
+			obs.FormatSeconds(plt.Subsequent.Mean),
+			obs.FormatSeconds(rtt.RTT.Mean),
+			obs.FormatPercent(plr.PLR))
 	}
 
 	fmt.Println()

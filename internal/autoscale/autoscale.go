@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
@@ -199,10 +198,10 @@ type Controller struct {
 	lastDesired int64
 	stopped     bool
 
-	ticks       metrics.Counter
-	ups         metrics.Counter
-	downs       metrics.Counter
-	applyErrors metrics.Counter
+	ticks       obs.Counter
+	ups         obs.Counter
+	downs       obs.Counter
+	applyErrors obs.Counter
 }
 
 // New builds a controller. cfg.Sample and cfg.Apply must be set.

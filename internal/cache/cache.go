@@ -29,7 +29,6 @@ import (
 
 	"scholarcloud/internal/cache/lru"
 	"scholarcloud/internal/httpsim"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 )
@@ -195,17 +194,17 @@ type Cache struct {
 	peersMu sync.RWMutex
 	peers   *Peers
 
-	hits        metrics.Counter
-	misses      metrics.Counter
-	revalidated metrics.Counter
-	bypass      metrics.Counter
-	coalesced   metrics.Counter
-	uncacheable metrics.Counter
-	evictions   metrics.Counter
+	hits        obs.Counter
+	misses      obs.Counter
+	revalidated obs.Counter
+	bypass      obs.Counter
+	coalesced   obs.Counter
+	uncacheable obs.Counter
+	evictions   obs.Counter
 
-	siblingFetches metrics.Counter
-	siblingErrors  metrics.Counter
-	borderFetches  metrics.Counter
+	siblingFetches obs.Counter
+	siblingErrors  obs.Counter
+	borderFetches  obs.Counter
 
 	hitSeconds *obs.Histogram // nil until Instrument
 }

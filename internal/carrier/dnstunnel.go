@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"scholarcloud/internal/dnssim"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/mux"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -88,8 +87,8 @@ type Tunnel struct {
 	mu    sync.Mutex
 	conns uint64
 
-	queries     metrics.Counter
-	retransmits metrics.Counter
+	queries     obs.Counter
+	retransmits obs.Counter
 }
 
 // NewTunnel builds the tunnel transport. It panics on an empty resolver

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 )
@@ -69,9 +68,9 @@ type Ladder struct {
 	closed  bool
 	probing bool
 
-	escalations metrics.Counter
-	recoveries  metrics.Counter
-	probes      metrics.Counter
+	escalations obs.Counter
+	recoveries  obs.Counter
+	probes      obs.Counter
 }
 
 // NewLadder builds a ladder over rungs (fastest first). Call Start to

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/mux"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -75,8 +74,8 @@ type RendezvousPool struct {
 	mu    sync.Mutex
 	draws uint64
 
-	invocations metrics.Counter
-	failures    metrics.Counter
+	invocations obs.Counter
+	failures    obs.Counter
 }
 
 // NewRendezvous builds the transport. It panics on an empty pool.

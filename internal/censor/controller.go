@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"scholarcloud/internal/gfw"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 )
@@ -54,9 +53,9 @@ type Controller struct {
 	events    []Event
 	stopped   bool
 
-	ticks       metrics.Counter
-	escalations metrics.Counter
-	relaxes     metrics.Counter
+	ticks       obs.Counter
+	escalations obs.Counter
+	relaxes     obs.Counter
 }
 
 // NewController builds a controller. cfg.Sample and cfg.Apply must be

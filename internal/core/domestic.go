@@ -12,7 +12,6 @@ import (
 	"scholarcloud/internal/cache"
 	"scholarcloud/internal/fleet"
 	"scholarcloud/internal/httpsim"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/mux"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -83,15 +82,15 @@ type Domestic struct {
 	dialFails int       // consecutive single-remote dial failures
 	nextDial  time.Time // reconnect backoff gate (zero = none)
 
-	requests metrics.Counter
-	refused  metrics.Counter
-	streams  metrics.Counter
+	requests obs.Counter
+	refused  obs.Counter
+	streams  obs.Counter
 
 	// Resilience counters (zero unless Resil is set).
-	hedges       metrics.Counter
-	retries      metrics.Counter
-	deadlineHits metrics.Counter
-	failovers    metrics.Counter
+	hedges       obs.Counter
+	retries      obs.Counter
+	deadlineHits obs.Counter
+	failovers    obs.Counter
 	jitterCtr    atomic.Uint64 // backoff jitter draw sequence
 
 	flowTrace   atomic.Pointer[obs.Trace]

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 
 	"scholarcloud/internal/blinding"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/mux"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -64,8 +63,8 @@ type Remote struct {
 	mu    sync.Mutex
 	lns   []net.Listener
 	sess  []*mux.Session
-	opens metrics.Counter
-	dens  metrics.Counter
+	opens obs.Counter
+	dens  obs.Counter
 
 	flowTrace   atomic.Pointer[obs.Trace]
 	muxCounters atomic.Pointer[mux.Counters]

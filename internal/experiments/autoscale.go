@@ -15,11 +15,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"scholarcloud/internal/autoscale"
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
 )
 
@@ -119,7 +118,7 @@ type AutoscalePoint struct {
 	Mode     string // "static-K" or "autoscaled"
 	Visits   int
 	Failed   int
-	PLT      metrics.Summary
+	PLT      obs.Summary
 	P99PLT   float64 // seconds
 	// BorderBytes is the traffic the border link carried during the
 	// schedule (both directions) — scale events included.
@@ -149,7 +148,7 @@ func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*Autoscal
 	}
 	pt := &AutoscalePoint{Schedule: schedule, Mode: mode}
 	borderBefore := w.Border.Stats().Bytes
-	f := w.Methods()[4] // scholarcloud
+	f := w.ScholarCloudFactory()
 
 	start := w.Env.Clock.Now()
 	startActive := w.shardCount()
@@ -175,12 +174,12 @@ func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*Autoscal
 	w.SetDemand(0, 0)
 	end := w.Env.Clock.Now()
 
-	pt.PLT = metrics.SummarizeDurations(plts)
+	pt.PLT = obs.SummarizeDurations(plts)
 	secs := make([]float64, len(plts))
 	for i, d := range plts {
 		secs[i] = d.Seconds()
 	}
-	pt.P99PLT = metrics.Percentile(secs, 0.99)
+	pt.P99PLT = obs.Percentile(secs, 0.99)
 	pt.BorderBytes = w.Border.Stats().Bytes - borderBefore
 	pt.MeanShards, pt.PeakShards, pt.ScaleUps, pt.ScaleDowns = w.shardTimeline(start, end, startActive)
 
@@ -231,18 +230,11 @@ func (w *World) shardTimeline(start, end time.Time, startActive int) (mean float
 func autoscaleRow(p *AutoscalePoint) string {
 	return fmt.Sprintf("  %-9s %-11s %-7d %-10s %-10s %-11d %-7s %-7d %-5d %-6d %-10s %d\n",
 		p.Schedule, p.Mode, p.Visits,
-		metrics.FormatSeconds(p.PLT.Mean), metrics.FormatSeconds(p.P99PLT),
+		obs.FormatSeconds(p.PLT.Mean), obs.FormatSeconds(p.P99PLT),
 		p.BorderBytes/1024,
 		fmt.Sprintf("%.2f", p.MeanShards), p.PeakShards, p.ScaleUps, p.ScaleDowns,
 		fmt.Sprintf("$%.4f", p.PerUserUSD), p.Failed)
 }
-
-func autoscaleHeaderRow() string {
-	return fmt.Sprintf("  %-9s %-11s %-7s %-10s %-10s %-11s %-7s %-7s %-5s %-6s %-10s %s\n",
-		"schedule", "mode", "visits", "mean-PLT", "p99-PLT", "border-KB", "avg-K", "peak-K", "ups", "downs", "$/user", "failed")
-}
-
-const autoscaleTitle = "Autoscaled domestic tier — metrics-driven shard scaling under time-varying load (ScholarCloud, continuous browsing)\n"
 
 // autoscaleVariants is the provisioning axis each schedule runs under.
 func autoscaleVariants() []struct {
@@ -273,42 +265,30 @@ func autoscalePlan(q Quality) figurePlan {
 	}
 	var cells []cell
 	for _, sc := range schedules {
-		sc := sc
 		load := 0
 		for _, ph := range sc.phases {
 			load += ph.Clients * ph.Rounds
 		}
 		for _, v := range autoscaleVariants() {
-			v := v
-			cells = append(cells, cell{
-				Label:  fmt.Sprintf("%s %s", sc.name, v.Label),
-				Worlds: 1,
-				Weight: 100 + load + v.Shards,
-				Run: func(seed uint64) (cellResult, error) {
-					w := NewWorld(autoscaleCellConfig(seed, v.Shards, v.Initial))
-					defer w.Close()
+			cells = append(cells, worldCell(fmt.Sprintf("%s %s", sc.name, v.Label), 100+load+v.Shards,
+				autoscaleCellConfig(0, v.Shards, v.Initial), func(w *World) (cellResult, error) {
 					p, err := w.MeasureAutoscale(sc.name, sc.phases)
 					if err != nil {
 						return cellResult{}, err
 					}
-					return settledResult(w, autoscaleRow(p),
-						namedValue{Name: "p99-plt", Value: p.P99PLT, Unit: "s"},
-						namedValue{Name: "avg-shards", Value: p.MeanShards, Unit: ""},
-						namedValue{Name: "per-user", Value: p.PerUserUSD, Unit: ""})
-				},
-			})
+					return cellResult{Row: autoscaleRow(p), Values: []namedValue{
+						{Name: "p99-plt", Value: p.P99PLT, Unit: "s"},
+						{Name: "avg-shards", Value: p.MeanShards, Unit: ""},
+						{Name: "per-user", Value: p.PerUserUSD, Unit: ""}}}, nil
+				}))
 		}
 	}
 	return figurePlan{
 		Name:  "autoscale",
 		Title: "Autoscaled domestic tier — metrics-driven shard scaling",
+		Header: "Autoscaled domestic tier — metrics-driven shard scaling under time-varying load (ScholarCloud, continuous browsing)\n" +
+			fmt.Sprintf("  %-9s %-11s %-7s %-10s %-10s %-11s %-7s %-7s %-5s %-6s %-10s %s\n",
+				"schedule", "mode", "visits", "mean-PLT", "p99-PLT", "border-KB", "avg-K", "peak-K", "ups", "downs", "$/user", "failed"),
 		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			b.WriteString(autoscaleTitle)
-			b.WriteString(autoscaleHeaderRow())
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
 	}
 }

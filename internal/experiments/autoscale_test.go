@@ -78,7 +78,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 	}
 
 	// Populate the active shards' caches.
-	f := w.Methods()[4]
+	f := w.ScholarCloudFactory()
 	if _, err := w.runStaggeredClients(f, 12, 2, cacheStressInterval, true); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 func TestRetireShardDrainsWithoutBorderRefetch(t *testing.T) {
 	w := NewWorld(shardCellConfig(13, 3, false))
 	defer w.Close()
-	f := w.Methods()[4]
+	f := w.ScholarCloudFactory()
 	if _, err := w.runStaggeredClients(f, 12, 2, cacheStressInterval, true); err != nil {
 		t.Fatal(err)
 	}

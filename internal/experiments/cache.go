@@ -10,10 +10,9 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 )
 
 // cacheStressInterval is the cache sweep's visit cadence. Like the fleet
@@ -29,7 +28,7 @@ const cacheSweepMB = 64
 type CachePoint struct {
 	Clients int
 	CacheMB int // 0 = cache off
-	PLT     metrics.Summary
+	PLT     obs.Summary
 	Failed  int
 	// BorderBytes is the traffic the border link carried during the sweep
 	// (both directions: requests, responses, ACKs, handshakes).
@@ -51,7 +50,7 @@ func (w *World) MeasureCacheLoad(n, rounds int) (*CachePoint, error) {
 		before.coalesced, before.revalidated = s.Coalesced, s.Revalidated
 	}
 
-	p, err := w.measureScalabilityAt(w.Methods()[4], n, rounds, cacheStressInterval, true)
+	p, err := w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, cacheStressInterval, true)
 	if err != nil {
 		return nil, err
 	}
@@ -87,18 +86,9 @@ func cacheLabel(mb int) string {
 func cacheRow(p *CachePoint) string {
 	return fmt.Sprintf("  %-10d %-8s %-10s %-10s %-11d %-8d %-8d %-10d %d\n",
 		p.Clients, cacheLabel(p.CacheMB),
-		metrics.FormatSeconds(p.PLT.Mean), metrics.FormatSeconds(p.PLT.P95),
+		obs.FormatSeconds(p.PLT.Mean), obs.FormatSeconds(p.PLT.P95),
 		p.BorderBytes/1024, p.Hits, p.Misses, p.Coalesced, p.Failed)
 }
-
-const cacheHeader = "  %-10s %-8s %-10s %-10s %-11s %-8s %-8s %-10s %s\n"
-
-func cacheHeaderRow() string {
-	return fmt.Sprintf(cacheHeader,
-		"clients", "cache", "mean-PLT", "p95-PLT", "border-KB", "hits", "misses", "coalesced", "failed")
-}
-
-const cacheTitle = "Shared cache — domestic-proxy content cache (ScholarCloud, continuous browsing)\n"
 
 // cachePlan renders the shared-cache sweep, cache off and on side by
 // side: one world per (load, cache) cell.
@@ -106,35 +96,24 @@ func cachePlan(q Quality) figurePlan {
 	var cells []cell
 	for _, load := range cacheSweepLoads {
 		for _, mb := range []int{0, cacheSweepMB} {
-			load, mb := load, mb
-			cells = append(cells, cell{
-				Label:  fmt.Sprintf("cache=%s n=%d", cacheLabel(mb), load),
-				Worlds: 1,
-				Weight: 100 + load,
-				Run: func(seed uint64) (cellResult, error) {
-					w := NewWorld(Config{Seed: seed, CacheMB: mb, RunGuard: sweepRunGuard})
-					defer w.Close()
+			cells = append(cells, worldCell(fmt.Sprintf("cache=%s n=%d", cacheLabel(mb), load), 100+load,
+				Config{CacheMB: mb}, func(w *World) (cellResult, error) {
 					p, err := w.MeasureCacheLoad(load, q.ScaleRounds)
 					if err != nil {
 						return cellResult{}, err
 					}
-					return settledResult(w, cacheRow(p),
-						namedValue{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
-						namedValue{Name: "border-kb", Value: float64(p.BorderBytes) / 1024, Unit: "KB"})
-				},
-			})
+					return cellResult{Row: cacheRow(p), Values: []namedValue{
+						{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
+						{Name: "border-kb", Value: float64(p.BorderBytes) / 1024, Unit: "KB"}}}, nil
+				}))
 		}
 	}
 	return figurePlan{
 		Name:  "cache",
 		Title: "Shared cache — domestic-proxy content cache",
+		Header: "Shared cache — domestic-proxy content cache (ScholarCloud, continuous browsing)\n" +
+			fmt.Sprintf("  %-10s %-8s %-10s %-10s %-11s %-8s %-8s %-10s %s\n",
+				"clients", "cache", "mean-PLT", "p95-PLT", "border-KB", "hits", "misses", "coalesced", "failed"),
 		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			b.WriteString(cacheTitle)
-			b.WriteString(cacheHeaderRow())
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
 	}
 }

@@ -14,8 +14,8 @@ import (
 	"scholarcloud/internal/core"
 	"scholarcloud/internal/fleet"
 	"scholarcloud/internal/gfw"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netsim"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/pac"
 )
 
@@ -149,10 +149,7 @@ func (w *World) startCensorRegions() {
 			[]string{"scholar.google.com", "accounts.google.com"},
 		)
 		d := &core.Domestic{
-			Env: w.Env,
-			DialRemote: func() (net.Conn, error) {
-				return r.Host.DialTCP(primary)
-			},
+			Env:          w.Env,
 			Secret:       w.scSecret,
 			Epoch:        w.Cfg.BlindingEpoch,
 			Whitelist:    r.Whitelist,
@@ -378,7 +375,7 @@ type BorderOutcome struct {
 	// Escalations and Recoveries count the border cohort's ladder moves.
 	Escalations int64
 	Recoveries  int64
-	PLT         metrics.Summary // seconds, successful visits only
+	PLT         obs.Summary // seconds, successful visits only
 	Visits      int
 	Failed      int
 	// Survival breaks the visits out per active transport, in ladder
@@ -407,17 +404,28 @@ type CensorPoint struct {
 	Borders []BorderOutcome
 }
 
+// Visits is the whole-world page-load count, summed over borders.
+func (p *CensorPoint) Visits() (n int) {
+	for _, b := range p.Borders {
+		n += b.Visits
+	}
+	return n
+}
+
+// Failed is the whole-world count of page loads that did not complete.
+func (p *CensorPoint) Failed() (n int) {
+	for _, b := range p.Borders {
+		n += b.Failed
+	}
+	return n
+}
+
 // SuccessRate is the whole-world visit success fraction.
 func (p *CensorPoint) SuccessRate() float64 {
-	visits, failed := 0, 0
-	for _, b := range p.Borders {
-		visits += b.Visits
-		failed += b.Failed
-	}
-	if visits == 0 {
+	if p.Visits() == 0 {
 		return 0
 	}
-	return 1 - float64(failed)/float64(visits)
+	return 1 - float64(p.Failed())/float64(p.Visits())
 }
 
 // censorVisit is one page load's record inside a border cohort.
@@ -545,7 +553,7 @@ func (w *World) MeasureCensorship(n, rounds int) (*CensorPoint, error) {
 				out.Survival = append(out.Survival, *s)
 			}
 		}
-		out.PLT = metrics.SummarizeDurations(plts)
+		out.PLT = obs.SummarizeDurations(plts)
 		point.Borders = append(point.Borders, out)
 	}
 	return point, nil
@@ -561,7 +569,7 @@ func censorRows(p *CensorPoint) string {
 		}
 		fmt.Fprintf(&b, "  %-10s %-9s %-12s %-12s %-10s %-8d %-8d %-9s %-7d %s\n",
 			p.Profile, o.Border, o.FinalLevel, o.FinalRung,
-			metrics.FormatSeconds(o.PLT.Mean),
+			obs.FormatSeconds(o.PLT.Mean),
 			o.Visits, o.Failed, fmt.Sprintf("%.1f%%", 100*o.SuccessRate()),
 			o.Escalations, strings.Join(surv, ", "))
 	}
@@ -570,24 +578,11 @@ func censorRows(p *CensorPoint) string {
 			switch e.Kind {
 			case "escalate", "relax", "block-class", "stage":
 				fmt.Fprintf(&b, "    [%s %7s] %-11s %s -> %s  (%s)\n",
-					o.Border, metrics.FormatSeconds(e.At.Seconds()),
+					o.Border, obs.FormatSeconds(e.At.Seconds()),
 					e.Kind, e.From, e.To, e.Reason)
 			}
 		}
 	}
-	return b.String()
-}
-
-// censorHeader formats the figure's preamble and column header.
-func censorHeader(rounds int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Adaptive multi-border censor (%d clients/border, %d rounds at %s cadence; profiles: %s)\n",
-		censorClients, rounds,
-		metrics.FormatSeconds(transportsStressInterval.Seconds()),
-		strings.Join(censor.ProfileNames(), ", "))
-	fmt.Fprintf(&b, "  %-10s %-9s %-12s %-12s %-10s %-8s %-8s %-9s %-7s %s\n",
-		"profile", "border", "censor", "final rung", "plt(mean)",
-		"visits", "failed", "success", "escal", "survival by rung")
 	return b.String()
 }
 
@@ -597,41 +592,29 @@ func censorHeader(rounds int) string {
 func censorPlan(q Quality) figurePlan {
 	rounds := q.ScaleRounds + 2
 	var cells []cell
-	cells = append(cells, cell{
-		Label: "header",
-		Run: func(uint64) (cellResult, error) {
-			return cellResult{Row: censorHeader(rounds)}, nil
-		},
-	})
 	for _, name := range censor.ProfileNames() {
-		name := name
-		cells = append(cells, cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 100 + 2*censorClients,
-			Run: func(seed uint64) (cellResult, error) {
-				profile, _ := censor.ProfileByName(name)
-				w := NewWorld(Config{
-					Seed:       seed,
-					Censor:     &profile,
-					Resilience: true,
-					RunGuard:   sweepRunGuard,
-				})
-				defer w.Close()
+		profile, _ := censor.ProfileByName(name)
+		cells = append(cells, worldCell(name, 100+2*censorClients,
+			Config{Censor: &profile, Resilience: true}, func(w *World) (cellResult, error) {
 				p, err := w.MeasureCensorship(censorClients, rounds)
 				if err != nil {
 					return cellResult{}, err
 				}
-				return settledResult(w, censorRows(p),
-					namedValue{Name: "success", Value: 100 * p.SuccessRate(), Unit: "%"},
-					namedValue{Name: "borders", Value: float64(len(p.Borders)), Unit: ""})
-			},
-		})
+				return cellResult{Row: censorRows(p), Values: []namedValue{
+					{Name: "success", Value: 100 * p.SuccessRate(), Unit: "%"},
+					{Name: "borders", Value: float64(len(p.Borders)), Unit: ""}}}, nil
+			}))
 	}
 	return figurePlan{
-		Name:   "censor",
-		Title:  "Adaptive multi-border censorship",
-		Cells:  cells,
-		Render: concatRows,
+		Name:  "censor",
+		Title: "Adaptive multi-border censorship",
+		Header: fmt.Sprintf("Adaptive multi-border censor (%d clients/border, %d rounds at %s cadence; profiles: %s)\n",
+			censorClients, rounds,
+			obs.FormatSeconds(transportsStressInterval.Seconds()),
+			strings.Join(censor.ProfileNames(), ", ")) +
+			fmt.Sprintf("  %-10s %-9s %-12s %-12s %-10s %-8s %-8s %-9s %-7s %s\n",
+				"profile", "border", "censor", "final rung", "plt(mean)",
+				"visits", "failed", "success", "escal", "survival by rung"),
+		Cells: cells,
 	}
 }

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"scholarcloud/internal/faults"
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 )
 
 // faultsStressInterval is the per-client revisit cadence under fault
@@ -28,7 +27,7 @@ type FaultsResult struct {
 	Scenario   string
 	Resilience bool
 	Clients    int
-	PLT        metrics.Summary // seconds, successful visits only
+	PLT        obs.Summary // seconds, successful visits only
 	Visits     int
 	Failed     int
 }
@@ -49,7 +48,7 @@ func (w *World) MeasureFaults(n, rounds int) (*FaultsResult, error) {
 	if err := w.Run(func() error { w.InjectFaults(); return nil }); err != nil {
 		return nil, err
 	}
-	p, err := w.measureScalabilityAt(w.Methods()[4], n, rounds, faultsStressInterval, false)
+	p, err := w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, faultsStressInterval, false)
 	if err != nil {
 		return nil, err
 	}
@@ -71,18 +70,8 @@ func faultsRow(r *FaultsResult) string {
 	}
 	return fmt.Sprintf("  %-20s %-11s %-10s %-10s %-8d %-8d %.1f%%\n",
 		r.Scenario, mode,
-		metrics.FormatSeconds(r.PLT.Mean), metrics.FormatSeconds(r.PLT.P95),
+		obs.FormatSeconds(r.PLT.Mean), obs.FormatSeconds(r.PLT.P95),
 		r.Visits, r.Failed, 100*r.SuccessRate())
-}
-
-// faultsHeader formats the figure's preamble and column header.
-func faultsHeader(rounds int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Faults & resilience (%d clients, %d remotes, %d rounds at %s cadence)\n",
-		faultsClients, faultsRemotes, rounds, metrics.FormatSeconds(faultsStressInterval.Seconds()))
-	fmt.Fprintf(&b, "  %-20s %-11s %-10s %-10s %-8s %-8s %s\n",
-		"scenario", "resilience", "plt(mean)", "plt(p95)", "visits", "failed", "success")
-	return b.String()
 }
 
 // faultsPlan decomposes the faults figure for the parallel harness: one
@@ -91,47 +80,28 @@ func faultsHeader(rounds int) string {
 func faultsPlan(q Quality) figurePlan {
 	rounds := q.ScaleRounds + 1
 	var cells []cell
-	cells = append(cells, cell{
-		Label: "header",
-		Run: func(uint64) (cellResult, error) {
-			return cellResult{Row: faultsHeader(rounds)}, nil
-		},
-	})
 	for _, scenario := range faults.Scenarios() {
-		for _, resil := range []bool{false, true} {
-			scenario, resil := scenario, resil
-			mode := "off"
-			if resil {
-				mode = "on"
-			}
-			cells = append(cells, cell{
-				Label:  fmt.Sprintf("%s resilience=%s", scenario, mode),
-				Worlds: 1,
-				Weight: 100 + faultsClients,
-				Run: func(seed uint64) (cellResult, error) {
-					w := NewWorld(Config{
-						Seed:          seed,
-						FleetRemotes:  faultsRemotes,
-						FaultScenario: scenario,
-						Resilience:    resil,
-						RunGuard:      sweepRunGuard,
-					})
-					defer w.Close()
+		for _, mode := range []string{"off", "on"} {
+			cells = append(cells, worldCell(fmt.Sprintf("%s resilience=%s", scenario, mode), 100+faultsClients,
+				Config{FleetRemotes: faultsRemotes, FaultScenario: scenario, Resilience: mode == "on"},
+				func(w *World) (cellResult, error) {
 					r, err := w.MeasureFaults(faultsClients, rounds)
 					if err != nil {
 						return cellResult{}, err
 					}
-					return settledResult(w, faultsRow(r),
-						namedValue{Name: "success", Value: 100 * r.SuccessRate(), Unit: "%"},
-						namedValue{Name: "plt", Value: r.PLT.Mean, Unit: "s"})
-				},
-			})
+					return cellResult{Row: faultsRow(r), Values: []namedValue{
+						{Name: "success", Value: 100 * r.SuccessRate(), Unit: "%"},
+						{Name: "plt", Value: r.PLT.Mean, Unit: "s"}}}, nil
+				}))
 		}
 	}
 	return figurePlan{
-		Name:   "faults",
-		Title:  "Fault injection & client resilience",
-		Cells:  cells,
-		Render: concatRows,
+		Name:  "faults",
+		Title: "Fault injection & client resilience",
+		Header: fmt.Sprintf("Faults & resilience (%d clients, %d remotes, %d rounds at %s cadence)\n",
+			faultsClients, faultsRemotes, rounds, obs.FormatSeconds(faultsStressInterval.Seconds())) +
+			fmt.Sprintf("  %-20s %-11s %-10s %-10s %-8s %-8s %s\n",
+				"scenario", "resilience", "plt(mean)", "plt(p95)", "visits", "failed", "success"),
+		Cells: cells,
 	}
 }

@@ -58,7 +58,7 @@ func TestHedgedRetryCompletesPageLoadOnMidTransferCrash(t *testing.T) {
 		Resilience:    true,
 	})
 	defer w.Close()
-	f := w.Methods()[4] // scholarcloud
+	f := w.ScholarCloudFactory()
 
 	var st *httpsim.VisitStats
 	err := w.Run(func() error {

@@ -6,8 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netsim"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/tunnel"
 )
 
@@ -76,12 +76,18 @@ func (w *World) Methods() []Factory {
 			URL:  scholarURL,
 			New:  func(h *netsim.Host) tunnel.Method { return w.Shadowsocks(h) },
 		},
-		{
-			Name:          "scholarcloud",
-			URL:           scholarURL,
-			New:           func(h *netsim.Host) tunnel.Method { return w.ScholarCloud(h) },
-			ExtraPLRHosts: []*netsim.Host{w.SCDomestic},
-		},
+		w.ScholarCloudFactory(),
+	}
+}
+
+// ScholarCloudFactory is the paper's own system among Methods — the one
+// method every post-paper figure (fleet, cache, faults, ...) loads.
+func (w *World) ScholarCloudFactory() Factory {
+	return Factory{
+		Name:          "scholarcloud",
+		URL:           scholarURL,
+		New:           func(h *netsim.Host) tunnel.Method { return w.ScholarCloud(h) },
+		ExtraPLRHosts: []*netsim.Host{w.SCDomestic},
 	}
 }
 
@@ -113,8 +119,8 @@ func (w *World) DirectBaseline() Factory {
 // PLTResult is one method's Fig. 5a datapoint.
 type PLTResult struct {
 	Method     string
-	FirstTime  metrics.Summary // seconds
-	Subsequent metrics.Summary // seconds
+	FirstTime  obs.Summary // seconds
+	Subsequent obs.Summary // seconds
 }
 
 // MeasurePLT runs the paper's workload: firstRuns independent first-time
@@ -160,8 +166,8 @@ func (w *World) MeasurePLT(f Factory, firstRuns, subsequentSamples int) (*PLTRes
 	if err != nil {
 		return nil, err
 	}
-	res.FirstTime = metrics.SummarizeDurations(firsts)
-	res.Subsequent = metrics.SummarizeDurations(subs)
+	res.FirstTime = obs.SummarizeDurations(firsts)
+	res.Subsequent = obs.SummarizeDurations(subs)
 	return res, nil
 }
 
@@ -170,7 +176,7 @@ func (w *World) MeasurePLT(f Factory, firstRuns, subsequentSamples int) (*PLTRes
 // RTTResult is one method's Fig. 5b datapoint.
 type RTTResult struct {
 	Method string
-	RTT    metrics.Summary // seconds
+	RTT    obs.Summary // seconds
 }
 
 // MeasureRTT opens one tunneled connection to the origin's echo service
@@ -215,7 +221,7 @@ func (w *World) MeasureRTT(f Factory, probes int) (*RTTResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.RTT = metrics.SummarizeDurations(rtts)
+	res.RTT = obs.SummarizeDurations(rtts)
 	return res, nil
 }
 
@@ -328,7 +334,7 @@ func (w *World) MeasureTraffic(f Factory, visits int) (*TrafficResult, error) {
 type ScalabilityPoint struct {
 	Method  string
 	Clients int
-	PLT     metrics.Summary // seconds
+	PLT     obs.Summary // seconds
 	Failed  int
 }
 
@@ -359,7 +365,7 @@ func (w *World) measureScalabilityAt(f Factory, n, rounds int, cadence time.Dura
 		}
 		plts = append(plts, r.plt)
 	}
-	point.PLT = metrics.SummarizeDurations(plts)
+	point.PLT = obs.SummarizeDurations(plts)
 	return point, nil
 }
 

@@ -17,7 +17,7 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 )
 
 // fleetStressInterval is the fleet sweep's visit cadence. Fig. 7's 60 s
@@ -34,7 +34,7 @@ const fleetStressInterval = 20 * time.Second
 // MeasureFleetTakedown it runs on fleet-less worlds too, giving the
 // single-remote baseline the fleet rows are compared against.
 func (w *World) MeasureFleetScalability(n, rounds int) (*ScalabilityPoint, error) {
-	return w.measureScalabilityAt(w.Methods()[4], n, rounds, fleetStressInterval, false)
+	return w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, fleetStressInterval, false)
 }
 
 // fleetEjectionWindow bounds how long a silent takedown can go unnoticed:
@@ -50,7 +50,7 @@ type FleetTakedownResult struct {
 	Clients int
 	KillAt  time.Duration // offset of the takedown from sweep start
 	Window  time.Duration // ejection window after the takedown
-	PLT     metrics.Summary
+	PLT     obs.Summary
 
 	// Visit/failure counts by when the visit started: before the
 	// takedown, inside the ejection window, and after it.
@@ -72,7 +72,7 @@ func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration
 		KillAt:  killAt,
 		Window:  fleetEjectionWindow,
 	}
-	f := w.Methods()[4] // scholarcloud
+	f := w.ScholarCloudFactory()
 	type visit struct {
 		start  time.Duration // offset from sweep start
 		plt    time.Duration
@@ -143,6 +143,6 @@ func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration
 			plts = append(plts, v.plt)
 		}
 	}
-	res.PLT = metrics.SummarizeDurations(plts)
+	res.PLT = obs.SummarizeDurations(plts)
 	return res, nil
 }

@@ -14,11 +14,10 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netsim"
+	"scholarcloud/internal/obs"
 )
 
 // FlowDemand is the calibrated per-visit resource demand of one marginal
@@ -64,7 +63,7 @@ type FlowPoint struct {
 
 	// PLT and Failed summarize the sampled clients' visits, which ran
 	// under the cohort's fluid load.
-	PLT    metrics.Summary // seconds
+	PLT    obs.Summary // seconds
 	Failed int
 
 	// Demand is the calibrated marginal per-visit demand the fluid share
@@ -257,7 +256,7 @@ func (w *World) MeasureFlowScalability(f Factory, n, rounds, sampled int) (*Flow
 		}
 		plts = append(plts, r.plt)
 	}
-	point.PLT = metrics.SummarizeDurations(plts)
+	point.PLT = obs.SummarizeDurations(plts)
 
 	// Border accounting: measured bytes for the sampled clients plus
 	// demand-scaled bytes for the fluid share.
@@ -297,59 +296,38 @@ func flowDeployment(n int) (fleetRemotes, cacheMB int, label string) {
 // remotes it would take), and the sampled clients show the overload
 // response.
 func scalePlan(q Quality) figurePlan {
-	sweep := q.FlowSweep
 	var cells []cell
-	for _, n := range sweep {
-		n := n
+	for _, n := range q.FlowSweep {
 		remotes, cacheMB, label := flowDeployment(n)
-		cells = append(cells, cell{
-			Label:  fmt.Sprintf("n=%d %s", n, label),
-			Worlds: 1,
-			Weight: 100 + n/100,
-			Run: func(seed uint64) (cellResult, error) {
-				w := NewWorld(Config{
-					Seed:         seed,
-					FleetRemotes: remotes,
-					CacheMB:      cacheMB,
-					RunGuard:     sweepRunGuard,
-				})
-				defer w.Close()
-				f, _ := w.FactoryByName("scholarcloud")
-				p, err := w.MeasureFlowScalability(f, n, q.ScaleRounds, q.FlowSampled)
+		cells = append(cells, worldCell(fmt.Sprintf("n=%d %s", n, label), 100+n/100,
+			Config{FleetRemotes: remotes, CacheMB: cacheMB}, func(w *World) (cellResult, error) {
+				p, err := w.MeasureFlowScalability(w.ScholarCloudFactory(), n, q.ScaleRounds, q.FlowSampled)
 				if err != nil {
 					return cellResult{}, err
-				}
-				plt := metrics.FormatSeconds(p.PLT.Mean)
-				if p.Failed > 0 {
-					plt += fmt.Sprintf("(%df)", p.Failed)
 				}
 				note := ""
 				if p.Saturated {
 					note = fmt.Sprintf("SATURATED (needs >=%d remotes)", p.RequiredRemotes)
 				}
-				row := fmt.Sprintf("  %-9d %-15s %-12s %-10s %6.1f%%  %6.1f%%  %-10s %s\n",
-					p.Clients, label, plt, metrics.FormatSeconds(p.PLT.P95),
-					100*p.BorderUtilization, 100*p.RemoteUtilization,
-					metrics.FormatKB(p.BytesPerClient), note)
-				return settledResult(w, row,
-					namedValue{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
-					namedValue{Name: "kb-per-client", Value: p.BytesPerClient, Unit: "KB"},
-					namedValue{Name: "remote-util", Value: 100 * p.RemoteUtilization, Unit: "%"})
-			},
-		})
+				return cellResult{
+					Row: fmt.Sprintf("  %-9d %-15s %-12s %-10s %6.1f%%  %6.1f%%  %-10s %s\n",
+						p.Clients, label, pltCell(p.PLT, p.Failed), obs.FormatSeconds(p.PLT.P95),
+						100*p.BorderUtilization, 100*p.RemoteUtilization,
+						obs.FormatKB(p.BytesPerClient), note),
+					Values: []namedValue{
+						{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
+						{Name: "kb-per-client", Value: p.BytesPerClient, Unit: "KB"},
+						{Name: "remote-util", Value: 100 * p.RemoteUtilization, Unit: "%"}},
+				}, nil
+			}))
 	}
 	return figurePlan{
 		Name:  "scale",
 		Title: "Scale — flow-level cohorts, 1k to 1M clients",
+		Header: fmt.Sprintf("Scale — flow-level client cohorts (ScholarCloud; %d sampled packet-level clients per cohort)\n",
+			q.FlowSampled) +
+			fmt.Sprintf("  %-9s %-15s %-12s %-10s %-8s %-8s %-10s %s\n",
+				"clients", "deployment", "mean-PLT", "p95-PLT", "border", "remote", "KB/client", "note"),
 		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Scale — flow-level client cohorts (ScholarCloud; %d sampled packet-level clients per cohort)\n",
-				q.FlowSampled)
-			fmt.Fprintf(&b, "  %-9s %-15s %-12s %-10s %-8s %-8s %-10s %s\n",
-				"clients", "deployment", "mean-PLT", "p95-PLT", "border", "remote", "KB/client", "note")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
 	}
 }

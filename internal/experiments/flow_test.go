@@ -29,7 +29,7 @@ func TestFlowMatchesPacketSmallN(t *testing.T) {
 		t.Run(fmtClients(n), func(t *testing.T) {
 			wp := NewWorld(Config{Seed: seed})
 			defer wp.Close()
-			fp, _ := wp.FactoryByName("scholarcloud")
+			fp := wp.ScholarCloudFactory()
 			before := borderTotal(wp)
 			packet, err := wp.MeasureScalability(fp, n, rounds)
 			if err != nil {
@@ -42,7 +42,7 @@ func TestFlowMatchesPacketSmallN(t *testing.T) {
 
 			wf := NewWorld(Config{Seed: seed})
 			defer wf.Close()
-			ff, _ := wf.FactoryByName("scholarcloud")
+			ff := wf.ScholarCloudFactory()
 			flow, err := wf.MeasureFlowScalability(ff, n, rounds, sampled)
 			if err != nil {
 				t.Fatalf("flow mode: %v", err)
@@ -100,7 +100,7 @@ func relDiff(a, b float64) float64 {
 func TestFlowSaturationDetection(t *testing.T) {
 	w := NewWorld(Config{Seed: 2017})
 	defer w.Close()
-	f, _ := w.FactoryByName("scholarcloud")
+	f := w.ScholarCloudFactory()
 	p, err := w.MeasureFlowScalability(f, 50_000, 2, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 	"time"
 
 	"scholarcloud/internal/cache"
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
 )
 
@@ -33,7 +33,7 @@ var shardSweepCounts = []int{1, 2, 4, 8}
 type ShardsPoint struct {
 	Shards  int
 	Clients int
-	PLT     metrics.Summary
+	PLT     obs.Summary
 	Failed  int
 	// BorderBytes is the traffic the border link carried during the
 	// sweep (both directions).
@@ -77,7 +77,7 @@ func (w *World) MeasureShards(n, rounds int) (*ShardsPoint, error) {
 	borderBefore := w.Border.Stats()
 	before := w.tierCacheStats()
 
-	p, err := w.measureScalabilityAt(w.Methods()[4], n, rounds, cacheStressInterval, true)
+	p, err := w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, cacheStressInterval, true)
 	if err != nil {
 		return nil, err
 	}
@@ -115,7 +115,7 @@ type ShardKillResult struct {
 	Clients int
 	Victim  int
 	KillAt  time.Duration // offset of the seizure from sweep start
-	PLT     metrics.Summary
+	PLT     obs.Summary
 
 	// Visit/failure counts by when the visit started, relative to the
 	// seizure. Unlike a fleet takedown there is no detection window: the
@@ -156,7 +156,7 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 		KillAt:  killAt,
 	}
 	siblingErrBefore := w.tierCacheStats().SiblingErrors
-	f := w.Methods()[4] // scholarcloud
+	f := w.ScholarCloudFactory()
 	type visit struct {
 		start  time.Duration // offset from sweep start
 		plt    time.Duration
@@ -223,29 +223,22 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 			plts = append(plts, v.plt)
 		}
 	}
-	res.PLT = metrics.SummarizeDurations(plts)
+	res.PLT = obs.SummarizeDurations(plts)
 	return res, nil
 }
 
 func shardsRow(p *ShardsPoint) string {
 	return fmt.Sprintf("  %-8d %-10d %-10s %-10s %-11d %-8d %-9d %-9d %-10s %d\n",
 		p.Shards, p.Clients,
-		metrics.FormatSeconds(p.PLT.Mean), metrics.FormatSeconds(p.PLT.P95),
+		obs.FormatSeconds(p.PLT.Mean), obs.FormatSeconds(p.PLT.P95),
 		p.BorderBytes/1024, p.Hits, p.SiblingFetches, p.BorderFetches,
 		fmt.Sprintf("$%.4f", p.PerUserUSD), p.Failed)
 }
 
-func shardsHeaderRow() string {
-	return fmt.Sprintf("  %-8s %-10s %-10s %-10s %-11s %-8s %-9s %-9s %-10s %s\n",
-		"shards", "clients", "mean-PLT", "p95-PLT", "border-KB", "hits", "sibling", "border-f", "$/user", "failed")
-}
-
-const shardsTitle = "Sharded domestic tier — PAC-assigned shards with cache peering (ScholarCloud, continuous browsing)\n"
-
 func shardKillSection(res *ShardKillResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "\nShard seized during load (%d clients, %d shards; shard %d seized at t=%s)\n",
-		res.Clients, res.Shards, res.Victim, metrics.FormatSeconds(res.KillAt.Seconds()))
+		res.Clients, res.Shards, res.Victim, obs.FormatSeconds(res.KillAt.Seconds()))
 	fmt.Fprintf(&b, "  %-28s %-8s %s\n", "visits started", "count", "failed")
 	fmt.Fprintf(&b, "  %-28s %-8d %d\n", "before seizure", res.VisitsBefore, res.FailedBefore)
 	fmt.Fprintf(&b, "  %-28s %-8d %d\n", "after seizure", res.VisitsAfter, res.FailedAfter)
@@ -260,6 +253,7 @@ func shardKillSection(res *ShardKillResult) string {
 // shardCellConfig builds the sweep's world configuration for k shards.
 // The cache is always on (the tier requires it); resilience rides along
 // on the seizure episode so in-flight visits retry onto survivors.
+// worldCell overrides the seed with the job's.
 func shardCellConfig(seed uint64, k int, resilience bool) Config {
 	return Config{
 		Seed:               seed,
@@ -277,50 +271,33 @@ func shardCellConfig(seed uint64, k int, resilience bool) Config {
 func shardsPlan(q Quality) figurePlan {
 	var cells []cell
 	for _, k := range shardSweepCounts {
-		k := k
-		cells = append(cells, cell{
-			Label:  fmt.Sprintf("shards=%d n=%d", k, shardSweepClients),
-			Worlds: 1,
-			Weight: 100 + shardSweepClients + k,
-			Run: func(seed uint64) (cellResult, error) {
-				w := NewWorld(shardCellConfig(seed, k, false))
-				defer w.Close()
+		cells = append(cells, worldCell(fmt.Sprintf("shards=%d n=%d", k, shardSweepClients), 100+shardSweepClients+k,
+			shardCellConfig(0, k, false), func(w *World) (cellResult, error) {
 				p, err := w.MeasureShards(shardSweepClients, q.ScaleRounds)
 				if err != nil {
 					return cellResult{}, err
 				}
-				return settledResult(w, shardsRow(p),
-					namedValue{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
-					namedValue{Name: "border-kb", Value: float64(p.BorderBytes) / 1024, Unit: "KB"},
-					namedValue{Name: "per-user", Value: p.PerUserUSD, Unit: ""})
-			},
-		})
+				return cellResult{Row: shardsRow(p), Values: []namedValue{
+					{Name: "plt", Value: p.PLT.Mean, Unit: "s"},
+					{Name: "border-kb", Value: float64(p.BorderBytes) / 1024, Unit: "KB"},
+					{Name: "per-user", Value: p.PerUserUSD, Unit: ""}}}, nil
+			}))
 	}
-	cells = append(cells, cell{
-		Label:  "shard-kill",
-		Worlds: 1,
-		Weight: 100 + shardSweepClients,
-		Run: func(seed uint64) (cellResult, error) {
-			w := NewWorld(shardCellConfig(seed, 4, true))
-			defer w.Close()
+	cells = append(cells, worldCell("shard-kill", 100+shardSweepClients,
+		shardCellConfig(0, 4, true), func(w *World) (cellResult, error) {
 			res, err := w.MeasureShardKill(shardSweepClients, q.ScaleRounds+1, 1, cacheStressInterval)
 			if err != nil {
 				return cellResult{}, err
 			}
-			return settledResult(w, shardKillSection(res),
-				namedValue{Name: "success-after", Value: 100 * res.SuccessAfter(), Unit: "%"})
-		},
-	})
+			return cellResult{Row: shardKillSection(res), Values: []namedValue{
+				{Name: "success-after", Value: 100 * res.SuccessAfter(), Unit: "%"}}}, nil
+		}))
 	return figurePlan{
 		Name:  "shards",
 		Title: "Sharded domestic tier — PAC-assigned shards with cache peering",
+		Header: "Sharded domestic tier — PAC-assigned shards with cache peering (ScholarCloud, continuous browsing)\n" +
+			fmt.Sprintf("  %-8s %-10s %-10s %-10s %-11s %-8s %-9s %-9s %-10s %s\n",
+				"shards", "clients", "mean-PLT", "p95-PLT", "border-KB", "hits", "sibling", "border-f", "$/user", "failed"),
 		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			b.WriteString(shardsTitle)
-			b.WriteString(shardsHeaderRow())
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
 	}
 }

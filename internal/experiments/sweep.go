@@ -13,6 +13,7 @@ package experiments
 // figures (2, 3, 4) are seed-stable tables and render the base seed only.
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -21,9 +22,9 @@ import (
 	"time"
 
 	"scholarcloud/internal/costmodel"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
+	"scholarcloud/internal/survey"
 )
 
 // sweepRunGuard replaces the default 120 s per-Run deadlock guard for
@@ -64,27 +65,113 @@ type cell struct {
 	Run    func(seed uint64) (cellResult, error)
 }
 
-// figurePlan is a figure decomposed into cells plus a renderer that
-// reassembles the figure text from completed cells (in cell order).
+// worldCell is the frame every measured cell shares: build one world from
+// cfg on the job's seed, run measure against it (which fills Row and
+// Values), then attach the world's settled metrics delta and tear down.
+func worldCell(label string, weight int, cfg Config, measure func(w *World) (cellResult, error)) cell {
+	return cell{
+		Label:  label,
+		Worlds: 1,
+		Weight: weight,
+		Run: func(seed uint64) (cellResult, error) {
+			cfg := cfg // Run is called concurrently, once per replicate seed
+			cfg.Seed, cfg.RunGuard = seed, sweepRunGuard
+			w := NewWorld(cfg)
+			defer w.Close()
+			r, err := measure(w)
+			if err != nil {
+				return cellResult{}, err
+			}
+			snap, err := w.SnapshotSettled()
+			if err != nil {
+				return cellResult{}, err
+			}
+			r.Obs, r.HasObs = snap, true
+			return r, nil
+		},
+	}
+}
+
+// figurePlan is a figure decomposed into cells plus what reassembles the
+// figure text from completed cells (in cell order).
 type figurePlan struct {
-	Name   string
-	Title  string
+	Name  string
+	Title string
+	// Header is the figure's static preamble: title line, column header.
+	Header string
 	Cells  []cell
+	// Render builds the text after Header; nil concatenates the cell rows.
 	Render func(rs []cellResult) string
 }
 
-// FigureOrder lists every figure name in presentation order — the valid
-// values of scholarbench -fig besides "all".
-var FigureOrder = []string{"2", "3", "4", "5a", "5b", "5c", "6a", "6bc", "7", "ops", "fleet", "cache", "faults", "transports", "censor", "shards", "autoscale", "scale"}
-
-// KnownFigure reports whether name is a figure the sweep can run.
-func KnownFigure(name string) bool {
-	for _, f := range FigureOrder {
-		if f == name {
-			return true
-		}
+func (p figurePlan) render(rs []cellResult) string {
+	if p.Render != nil {
+		return p.Header + p.Render(rs)
 	}
-	return false
+	return p.Header + concatRows(rs)
+}
+
+// FigureOrder lists every figure name in presentation order — the valid
+// values of scholarbench -fig besides "all". It is read off the plan
+// table, so a figure added to sweepPlans is selectable, documented in the
+// usage text and gated without further lists to edit.
+var FigureOrder = func() []string {
+	var names []string
+	for _, p := range sweepPlans(Quality{}) {
+		names = append(names, p.Name)
+	}
+	return names
+}()
+
+// ErrUnknownFigure is wrapped by RunSweep's error when SweepOptions.Figures
+// names a figure outside FigureOrder.
+var ErrUnknownFigure = errors.New("unknown figure")
+
+// Quality controls sample counts: quick for tests, full for the bench
+// harness (a simulated day of accesses, as in the paper).
+type Quality struct {
+	FirstRuns     int // independent first-time loads per method
+	Subsequent    int // subsequent loads per method
+	RTTProbes     int
+	PLRVisits     int
+	TrafficVisits int
+	ScaleRounds   int
+	ScaleSweep    []int
+	// FlowSweep is the scale figure's cohort-size axis (flow-level client
+	// mode); FlowSampled is how many packet-level clients each cohort
+	// samples.
+	FlowSweep   []int
+	FlowSampled int
+}
+
+// Quick is a fast configuration for tests and demos.
+func Quick() Quality {
+	return Quality{
+		FirstRuns:     3,
+		Subsequent:    8,
+		RTTProbes:     10,
+		PLRVisits:     20,
+		TrafficVisits: 5,
+		ScaleRounds:   2,
+		ScaleSweep:    []int{5, 30, 60, 120},
+		FlowSweep:     []int{500, 5000},
+		FlowSampled:   3,
+	}
+}
+
+// Full approximates the paper's day-long runs.
+func Full() Quality {
+	return Quality{
+		FirstRuns:     5,
+		Subsequent:    60,
+		RTTProbes:     50,
+		PLRVisits:     60,
+		TrafficVisits: 20,
+		ScaleRounds:   3,
+		ScaleSweep:    ScalabilitySweep,
+		FlowSweep:     []int{1_000, 10_000, 100_000, 1_000_000},
+		FlowSampled:   3,
+	}
 }
 
 // SweepOptions configures RunSweep.
@@ -97,7 +184,7 @@ type SweepOptions struct {
 	// Workers bounds concurrent worlds; <= 0 selects GOMAXPROCS.
 	Workers int
 	Quality Quality
-	// Figures selects a subset of FigureOrder; empty means all.
+	// Figures selects a subset of FigureOrder; empty (or "all") means all.
 	Figures []string
 }
 
@@ -152,32 +239,32 @@ func RunSweep(opts SweepOptions) (*SweepResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	// Select from the plan table; a name it does not hold is an error, not
+	// a silently smaller sweep.
 	want := map[string]bool{}
 	for _, f := range opts.Figures {
-		if f == "all" {
-			want = nil
-			break
-		}
 		want[f] = true
 	}
-	plans := sweepPlans(opts.Quality)
-	if want != nil {
-		kept := plans[:0]
-		for _, p := range plans {
-			if want[p.Name] {
-				kept = append(kept, p)
-			}
+	all := len(want) == 0 || want["all"]
+	var plans []figurePlan
+	for _, p := range sweepPlans(opts.Quality) {
+		if all || want[p.Name] {
+			plans = append(plans, p)
 		}
-		plans = kept
+		delete(want, p.Name)
 	}
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("experiments: no known figure selected (want one of %s)", strings.Join(FigureOrder, ","))
+	for _, f := range opts.Figures {
+		if f != "all" && want[f] {
+			return nil, fmt.Errorf("experiments: %w %q (want one of %s, or all)",
+				ErrUnknownFigure, f, strings.Join(FigureOrder, ","))
+		}
 	}
 
 	// results[plan][seed][cell], filled by the jobs below. Each job owns
 	// exactly one slot, so workers never write the same memory.
 	results := make([][][]cellResult, len(plans))
 	var jobs []Job
+	var weights []int // per job, parallel to jobs
 	worlds := 0
 	for pi, p := range plans {
 		results[pi] = make([][]cellResult, seeds)
@@ -187,6 +274,7 @@ func RunSweep(opts SweepOptions) (*SweepResult, error) {
 			for ci, c := range p.Cells {
 				pi, si, ci, c := pi, si, ci, c
 				worlds += c.Worlds
+				weights = append(weights, c.Weight)
 				jobs = append(jobs, Job{
 					Fig:  p.Name,
 					Cell: fmt.Sprintf("%s seed=%d", c.Label, seed),
@@ -205,18 +293,6 @@ func RunSweep(opts SweepOptions) (*SweepResult, error) {
 	// Dispatch heaviest cells first so the long poles start immediately;
 	// results land in fixed slots, so dispatch order cannot leak into the
 	// output.
-	weights := make([]int, len(jobs))
-	{
-		i := 0
-		for _, p := range plans {
-			for si := 0; si < seeds; si++ {
-				for _, c := range p.Cells {
-					weights[i] = c.Weight
-					i++
-				}
-			}
-		}
-	}
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
@@ -237,7 +313,7 @@ func RunSweep(opts SweepOptions) (*SweepResult, error) {
 	var out strings.Builder
 	for pi, p := range plans {
 		if seeds == 1 {
-			out.WriteString(p.Render(results[pi][0]))
+			out.WriteString(p.render(results[pi][0]))
 		} else {
 			out.WriteString(renderReplicated(p, results[pi], baseSeed))
 		}
@@ -288,28 +364,18 @@ func RunSweep(opts SweepOptions) (*SweepResult, error) {
 
 // --- figure plans ----------------------------------------------------------
 
-// methodNames is the per-method cell axis shared by most figures.
+// methodNames is the per-method cell axis shared by most figures; it
+// mirrors World.Methods (TestPlanTable holds the two equal).
 var methodNames = []string{"native-vpn", "openvpn", "tor", "shadowsocks", "scholarcloud"}
 
-// newCellWorld builds a fresh world for one cell.
-func newCellWorld(seed uint64, fleetRemotes int) *World {
-	return NewWorld(Config{Seed: seed, FleetRemotes: fleetRemotes, RunGuard: sweepRunGuard})
-}
-
-// settledResult captures the cell's deterministic metrics delta after the
-// world quiesces (non-fleet worlds only; see World.SnapshotSettled).
-func settledResult(w *World, row string, values ...namedValue) (cellResult, error) {
-	snap, err := w.SnapshotSettled()
-	if err != nil {
-		return cellResult{}, err
-	}
-	return cellResult{Row: row, Values: values, Obs: snap, HasObs: true}, nil
-}
-
+// sweepPlans is the figure table: every figure the harness can run, in
+// presentation order.
 func sweepPlans(q Quality) []figurePlan {
 	return []figurePlan{
 		staticPlan("2", "Figure 1/2 — system architecture", func(uint64) string { return ReportArchitecture() }),
-		staticPlan("3", "Figure 3 — survey", ReportFig3),
+		staticPlan("3", "Figure 3 — survey", func(seed uint64) string {
+			return survey.FormatFigure3(survey.Generate(survey.Respondents, seed))
+		}),
 		fig4Plan(),
 		fig5aPlan(q),
 		fig5bPlan(q),
@@ -341,7 +407,6 @@ func staticPlan(name, title string, render func(seed uint64) string) figurePlan 
 				return cellResult{Row: render(seed)}, nil
 			},
 		}},
-		Render: concatRows,
 	}
 }
 
@@ -353,154 +418,111 @@ func concatRows(rs []cellResult) string {
 	return b.String()
 }
 
-func fig4Plan() figurePlan {
-	cells := make([]cell, len(methodNames))
-	for i, name := range methodNames {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 1,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				ss, err := w.MeasureSessionStructure(f)
-				if err != nil {
-					return cellResult{}, err
-				}
-				mark := func(v bool) string {
-					if v {
-						return "yes"
-					}
-					return "-"
-				}
-				row := fmt.Sprintf("  %-13s %-6s %-6s %-6s %-6s %s\n",
-					ss.Method, mark(ss.TCP1), mark(ss.TCP2), mark(ss.TCP3), mark(ss.TCP4), mark(ss.SubsequentTCP4))
-				return settledResult(w, row)
-			},
-		}
+// methodCells is the cell axis of the per-method figures: one default
+// world per named access method.
+func methodCells(names []string, weight int, measure func(w *World, f Factory) (cellResult, error)) []cell {
+	cells := make([]cell, len(names))
+	for i, name := range names {
+		cells[i] = worldCell(name, weight, Config{}, func(w *World) (cellResult, error) {
+			f, _ := w.FactoryByName(name)
+			return measure(w, f)
+		})
 	}
+	return cells
+}
+
+func fmtSummary(s obs.Summary) string {
+	return fmt.Sprintf("%s [%s, %s]",
+		obs.FormatSeconds(s.Mean), obs.FormatSeconds(s.Min), obs.FormatSeconds(s.Max))
+}
+
+func fig4Plan() figurePlan {
+	mark := func(v bool) string {
+		if v {
+			return "yes"
+		}
+		return "-"
+	}
+	const row = "  %-13s %-6s %-6s %-6s %-6s %s\n"
 	return figurePlan{
 		Name:  "4",
 		Title: "Figure 4 — TCP connections in one Scholar access",
-		Cells: cells,
+		Header: "Figure 4 — TCP connections in one Scholar access\n" +
+			fmt.Sprintf(row, "method", "TCP-1", "TCP-2", "TCP-3", "TCP-4", "TCP-4 on revisit"),
+		Cells: methodCells(methodNames, 1, func(w *World, f Factory) (cellResult, error) {
+			ss, err := w.MeasureSessionStructure(f)
+			if err != nil {
+				return cellResult{}, err
+			}
+			return cellResult{Row: fmt.Sprintf(row,
+				ss.Method, mark(ss.TCP1), mark(ss.TCP2), mark(ss.TCP3), mark(ss.TCP4), mark(ss.SubsequentTCP4))}, nil
+		}),
 		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 4 — TCP connections in one Scholar access\n")
-			fmt.Fprintf(&b, "  %-13s %-6s %-6s %-6s %-6s %s\n", "method", "TCP-1", "TCP-2", "TCP-3", "TCP-4", "TCP-4 on revisit")
-			b.WriteString(concatRows(rs))
-			b.WriteString("  (TCP-1: proxy auth; TCP-2: HTTPS redirect; TCP-3: data; TCP-4: first-visit account recording)\n")
-			return b.String()
+			return concatRows(rs) +
+				"  (TCP-1: proxy auth; TCP-2: HTTPS redirect; TCP-3: data; TCP-4: first-visit account recording)\n"
 		},
 	}
 }
 
 func fig5aPlan(q Quality) figurePlan {
-	cells := make([]cell, len(methodNames))
-	for i, name := range methodNames {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 2,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				r, err := w.MeasurePLT(f, q.FirstRuns, q.Subsequent)
-				if err != nil {
-					return cellResult{}, err
-				}
-				row := fmt.Sprintf("  %-13s %-26s %s\n", r.Method, fmtSummary(r.FirstTime), fmtSummary(r.Subsequent))
-				return settledResult(w, row,
-					namedValue{Name: "first-time", Value: r.FirstTime.Mean, Unit: "s"},
-					namedValue{Name: "subsequent", Value: r.Subsequent.Mean, Unit: "s"})
-			},
-		}
-	}
+	const row = "  %-13s %-26s %s\n"
 	return figurePlan{
 		Name:  "5a",
 		Title: "Figure 5a — page load time (first-time / subsequent)",
-		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 5a — page load time (first-time / subsequent)\n")
-			fmt.Fprintf(&b, "  %-13s %-26s %s\n", "method", "first-time mean [min,max]", "subsequent mean [min,max]")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
+		Header: "Figure 5a — page load time (first-time / subsequent)\n" +
+			fmt.Sprintf(row, "method", "first-time mean [min,max]", "subsequent mean [min,max]"),
+		Cells: methodCells(methodNames, 2, func(w *World, f Factory) (cellResult, error) {
+			r, err := w.MeasurePLT(f, q.FirstRuns, q.Subsequent)
+			if err != nil {
+				return cellResult{}, err
+			}
+			return cellResult{
+				Row: fmt.Sprintf(row, r.Method, fmtSummary(r.FirstTime), fmtSummary(r.Subsequent)),
+				Values: []namedValue{
+					{Name: "first-time", Value: r.FirstTime.Mean, Unit: "s"},
+					{Name: "subsequent", Value: r.Subsequent.Mean, Unit: "s"}},
+			}, nil
+		}),
 	}
 }
 
 func fig5bPlan(q Quality) figurePlan {
-	cells := make([]cell, len(methodNames))
-	for i, name := range methodNames {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 1,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				r, err := w.MeasureRTT(f, q.RTTProbes)
-				if err != nil {
-					return cellResult{}, err
-				}
-				row := fmt.Sprintf("  %-13s %s\n", r.Method, fmtSummary(r.RTT))
-				return settledResult(w, row, namedValue{Name: "rtt", Value: r.RTT.Mean, Unit: "s"})
-			},
-		}
-	}
+	const row = "  %-13s %s\n"
 	return figurePlan{
 		Name:  "5b",
 		Title: "Figure 5b — round-trip time through each method",
-		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 5b — round-trip time through each method\n")
-			fmt.Fprintf(&b, "  %-13s %s\n", "method", "RTT mean [min,max]")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
+		Header: "Figure 5b — round-trip time through each method\n" +
+			fmt.Sprintf(row, "method", "RTT mean [min,max]"),
+		Cells: methodCells(methodNames, 1, func(w *World, f Factory) (cellResult, error) {
+			r, err := w.MeasureRTT(f, q.RTTProbes)
+			if err != nil {
+				return cellResult{}, err
+			}
+			return cellResult{
+				Row:    fmt.Sprintf(row, r.Method, fmtSummary(r.RTT)),
+				Values: []namedValue{{Name: "rtt", Value: r.RTT.Mean, Unit: "s"}},
+			}, nil
+		}),
 	}
 }
 
 func fig5cPlan(q Quality) figurePlan {
 	names := append(append([]string{}, methodNames...), "direct-us")
-	cells := make([]cell, len(names))
-	for i, name := range names {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 2,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				r, err := w.MeasurePLR(f, q.PLRVisits)
-				if err != nil {
-					return cellResult{}, err
-				}
-				row := fmt.Sprintf("  %-13s %-8s %d\n", r.Method, metrics.FormatPercent(r.PLR), r.Packets)
-				return settledResult(w, row, namedValue{Name: "plr", Value: r.PLR * 100, Unit: "%"})
-			},
-		}
-	}
 	return figurePlan{
 		Name:  "5c",
 		Title: "Figure 5c — packet loss rate (robustness to censorship)",
-		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 5c — packet loss rate (robustness to censorship)\n")
-			fmt.Fprintf(&b, "  %-13s %-8s %s\n", "method", "PLR", "packets")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
+		Header: "Figure 5c — packet loss rate (robustness to censorship)\n" +
+			fmt.Sprintf("  %-13s %-8s %s\n", "method", "PLR", "packets"),
+		Cells: methodCells(names, 2, func(w *World, f Factory) (cellResult, error) {
+			r, err := w.MeasurePLR(f, q.PLRVisits)
+			if err != nil {
+				return cellResult{}, err
+			}
+			return cellResult{
+				Row:    fmt.Sprintf("  %-13s %-8s %d\n", r.Method, obs.FormatPercent(r.PLR), r.Packets),
+				Values: []namedValue{{Name: "plr", Value: r.PLR * 100, Unit: "%"}},
+			}, nil
+		}),
 	}
 }
 
@@ -509,38 +531,25 @@ func fig5cPlan(q Quality) figurePlan {
 // in (the one cross-cell dependency of the sweep).
 func fig6aPlan(q Quality) figurePlan {
 	names := append([]string{"direct-us"}, methodNames...)
-	cells := make([]cell, len(names))
-	for i, name := range names {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 1,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				r, err := w.MeasureTraffic(f, q.TrafficVisits)
-				if err != nil {
-					return cellResult{}, err
-				}
-				return settledResult(w, "", namedValue{Name: "traffic", Value: r.BytesPerAccess, Unit: "KB"})
-			},
-		}
-	}
 	return figurePlan{
-		Name:  "6a",
-		Title: "Figure 6a — client network traffic per access",
-		Cells: cells,
+		Name:   "6a",
+		Title:  "Figure 6a — client network traffic per access",
+		Header: "Figure 6a — client network traffic per access\n",
+		Cells: methodCells(names, 1, func(w *World, f Factory) (cellResult, error) {
+			r, err := w.MeasureTraffic(f, q.TrafficVisits)
+			if err != nil {
+				return cellResult{}, err
+			}
+			return cellResult{Values: []namedValue{{Name: "traffic", Value: r.BytesPerAccess, Unit: "KB"}}}, nil
+		}),
 		Render: func(rs []cellResult) string {
 			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 6a — client network traffic per access\n")
 			baseline := rs[0].Values[0].Value
-			fmt.Fprintf(&b, "  %-13s %-9s (baseline)\n", names[0], metrics.FormatKB(baseline))
+			fmt.Fprintf(&b, "  %-13s %-9s (baseline)\n", names[0], obs.FormatKB(baseline))
 			for i := 1; i < len(rs); i++ {
 				v := rs[i].Values[0].Value
 				fmt.Fprintf(&b, "  %-13s %-9s (+%s overhead)\n", names[i],
-					metrics.FormatKB(v), metrics.FormatKB(v-baseline))
+					obs.FormatKB(v), obs.FormatKB(v-baseline))
 			}
 			return b.String()
 		},
@@ -548,95 +557,81 @@ func fig6aPlan(q Quality) figurePlan {
 }
 
 func fig6bcPlan(q Quality) figurePlan {
-	cells := make([]cell, len(methodNames))
-	for i, name := range methodNames {
-		name := name
-		cells[i] = cell{
-			Label:  name,
-			Worlds: 1,
-			Weight: 1,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName(name)
-				r, err := w.MeasureTraffic(f, q.TrafficVisits)
-				if err != nil {
-					return cellResult{}, err
-				}
-				model := name
-				if model == "native-vpn" {
-					model = "native-vpn-pptp"
-				}
-				if model == "tor" {
-					model = "tor-meek"
-				}
-				est := costmodel.ForMethod(model, r.BytesPerAccess, 3)
-				row := fmt.Sprintf("  %-13s %-12s %-10s %-12s %s\n", name,
-					fmt.Sprintf("%.2f%%", est.BrowserCPU),
-					fmt.Sprintf("%.2f%%", est.ExtraCPU),
-					fmt.Sprintf("%.0f MB", est.MemBeforeMB),
-					fmt.Sprintf("%.0f MB", est.MemAfterMB))
-				return settledResult(w, row,
-					namedValue{Name: "browser-cpu", Value: est.BrowserCPU, Unit: "%"},
-					namedValue{Name: "extra-cpu", Value: est.ExtraCPU, Unit: "%"})
-			},
-		}
-	}
+	const row = "  %-13s %-12s %-10s %-12s %s\n"
 	return figurePlan{
 		Name:  "6bc",
 		Title: "Figure 6b/6c — client CPU% and memory",
-		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 6b/6c — client CPU%% and memory (cost model over measured traffic)\n")
-			fmt.Fprintf(&b, "  %-13s %-12s %-10s %-12s %s\n", "method", "browser CPU", "extra CPU", "mem before", "mem after")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
+		Header: "Figure 6b/6c — client CPU% and memory (cost model over measured traffic)\n" +
+			fmt.Sprintf(row, "method", "browser CPU", "extra CPU", "mem before", "mem after"),
+		Cells: methodCells(methodNames, 1, func(w *World, f Factory) (cellResult, error) {
+			r, err := w.MeasureTraffic(f, q.TrafficVisits)
+			if err != nil {
+				return cellResult{}, err
+			}
+			model := f.Name
+			if model == "native-vpn" {
+				model = "native-vpn-pptp"
+			}
+			if model == "tor" {
+				model = "tor-meek"
+			}
+			est := costmodel.ForMethod(model, r.BytesPerAccess, 3)
+			return cellResult{
+				Row: fmt.Sprintf(row, f.Name,
+					fmt.Sprintf("%.2f%%", est.BrowserCPU),
+					fmt.Sprintf("%.2f%%", est.ExtraCPU),
+					fmt.Sprintf("%.0f MB", est.MemBeforeMB),
+					fmt.Sprintf("%.0f MB", est.MemAfterMB)),
+				Values: []namedValue{
+					{Name: "browser-cpu", Value: est.BrowserCPU, Unit: "%"},
+					{Name: "extra-cpu", Value: est.ExtraCPU, Unit: "%"}},
+			}, nil
+		}),
 	}
 }
 
+// pltCell renders a mean PLT, flagged with the failed-visit count if any.
+func pltCell(plt obs.Summary, failed int) string {
+	txt := obs.FormatSeconds(plt.Mean)
+	if failed > 0 {
+		txt += fmt.Sprintf("(%df)", failed)
+	}
+	return txt
+}
+
 // fig7Plan runs one cell per (clients, method) grid point. Tor is
-// excluded, as in the paper.
+// excluded, as in the paper (its servers are not under the operator's
+// control).
 func fig7Plan(q Quality) figurePlan {
 	methods := []string{"native-vpn", "openvpn", "shadowsocks", "scholarcloud"}
+	header := "Figure 7 — mean PLT vs concurrent clients\n" + fmt.Sprintf("  %-9s", "clients")
+	for _, name := range methods {
+		header += fmt.Sprintf(" %-13s", name)
+	}
 	var cells []cell
 	for _, n := range q.ScaleSweep {
 		for _, name := range methods {
-			n, name := n, name
-			cells = append(cells, cell{
-				Label:  fmt.Sprintf("%s n=%d", name, n),
-				Worlds: 1,
-				Weight: 2 + n,
-				Run: func(seed uint64) (cellResult, error) {
-					w := newCellWorld(seed, 0)
-					defer w.Close()
+			cells = append(cells, worldCell(fmt.Sprintf("%s n=%d", name, n), 2+n, Config{},
+				func(w *World) (cellResult, error) {
 					f, _ := w.FactoryByName(name)
 					p, err := w.MeasureScalability(f, n, q.ScaleRounds)
 					if err != nil {
 						return cellResult{}, err
 					}
-					txt := metrics.FormatSeconds(p.PLT.Mean)
-					if p.Failed > 0 {
-						txt += fmt.Sprintf("(%df)", p.Failed)
-					}
-					return settledResult(w, txt, namedValue{Name: "plt", Value: p.PLT.Mean, Unit: "s"})
-				},
-			})
+					return cellResult{
+						Row:    pltCell(p.PLT, p.Failed),
+						Values: []namedValue{{Name: "plt", Value: p.PLT.Mean, Unit: "s"}},
+					}, nil
+				}))
 		}
 	}
 	return figurePlan{
-		Name:  "7",
-		Title: "Figure 7 — mean PLT vs concurrent clients",
-		Cells: cells,
+		Name:   "7",
+		Title:  "Figure 7 — mean PLT vs concurrent clients",
+		Header: header + "\n",
+		Cells:  cells,
 		Render: func(rs []cellResult) string {
 			var b strings.Builder
-			fmt.Fprintf(&b, "Figure 7 — mean PLT vs concurrent clients\n")
-			fmt.Fprintf(&b, "  %-9s", "clients")
-			for _, name := range methods {
-				fmt.Fprintf(&b, " %-13s", name)
-			}
-			b.WriteString("\n")
 			for ni, n := range q.ScaleSweep {
 				fmt.Fprintf(&b, "  %-9d", n)
 				for mi := range methods {
@@ -649,43 +644,36 @@ func fig7Plan(q Quality) figurePlan {
 	}
 }
 
+// opsPlan reproduces the paper's §1 deployment economics: the service ran
+// on two VMs at 2.2 USD/day for ~700 daily users.
 func opsPlan(q Quality) figurePlan {
 	return figurePlan{
-		Name:  "ops",
-		Title: "Deployment economics",
-		Cells: []cell{{
-			Label:  "scholarcloud",
-			Worlds: 1,
-			Weight: 1,
-			Run: func(seed uint64) (cellResult, error) {
-				w := newCellWorld(seed, 0)
-				defer w.Close()
-				f, _ := w.FactoryByName("scholarcloud")
-				tr, err := w.MeasureTraffic(f, q.TrafficVisits)
-				if err != nil {
-					return cellResult{}, err
-				}
-				bill := opscost.Estimate(opscost.PaperWorkload(tr.BytesPerAccess), opscost.DefaultPricing())
-				var out strings.Builder
-				fmt.Fprintf(&out, "Deployment economics (paper §1: two VMs, ~700 daily users, 2.2 USD/day)\n")
-				fmt.Fprintf(&out, "  measured traffic/access  %s\n", metrics.FormatKB(tr.BytesPerAccess))
-				fmt.Fprintf(&out, "  VM cost                  $%.2f/day (2 instances)\n", bill.VMCostUSD)
-				fmt.Fprintf(&out, "  egress                   %.2f GB -> $%.2f/day\n", bill.TrafficGB, bill.TrafficCostUSD)
-				fmt.Fprintf(&out, "  total                    $%.2f/day ($%.4f per user)\n", bill.TotalUSD, bill.PerUserUSD)
-				return settledResult(w, out.String(), namedValue{Name: "total", Value: bill.TotalUSD, Unit: "USD/day"})
-			},
-		}},
-		Render: concatRows,
+		Name:   "ops",
+		Title:  "Deployment economics",
+		Header: "Deployment economics (paper §1: two VMs, ~700 daily users, 2.2 USD/day)\n",
+		Cells: []cell{worldCell("scholarcloud", 1, Config{}, func(w *World) (cellResult, error) {
+			tr, err := w.MeasureTraffic(w.ScholarCloudFactory(), q.TrafficVisits)
+			if err != nil {
+				return cellResult{}, err
+			}
+			bill := opscost.Estimate(opscost.PaperWorkload(tr.BytesPerAccess), opscost.DefaultPricing())
+			var out strings.Builder
+			fmt.Fprintf(&out, "  measured traffic/access  %s\n", obs.FormatKB(tr.BytesPerAccess))
+			fmt.Fprintf(&out, "  VM cost                  $%.2f/day (2 instances)\n", bill.VMCostUSD)
+			fmt.Fprintf(&out, "  egress                   %.2f GB -> $%.2f/day\n", bill.TrafficGB, bill.TrafficCostUSD)
+			fmt.Fprintf(&out, "  total                    $%.2f/day ($%.4f per user)\n", bill.TotalUSD, bill.PerUserUSD)
+			return cellResult{
+				Row:    out.String(),
+				Values: []namedValue{{Name: "total", Value: bill.TotalUSD, Unit: "USD/day"}},
+			}, nil
+		})},
 	}
 }
 
 // fleetPlan renders the fleet-scalability experiment: a Fig. 7-style
 // PLT-vs-clients sweep at 1/2/4 fleet remotes with the legacy
 // single-session path as baseline, one world per (load, remotes) point,
-// plus the takedown run. Fleet worlds never quiesce (the prober is a
-// recurring timer), so these cells carry no obs snapshot; the rendered
-// rows themselves are still deterministic, since every measurement
-// happens on the virtual clock.
+// plus the takedown run.
 func fleetPlan(q Quality) figurePlan {
 	const clients = 120
 	label := func(remotes int) string {
@@ -697,7 +685,6 @@ func fleetPlan(q Quality) figurePlan {
 	var cells []cell
 	for _, load := range []int{clients, 2 * clients, 4 * clients} {
 		for _, remotes := range []int{0, 1, 2, 4} {
-			load, remotes := load, remotes
 			if remotes == 0 && load > clients {
 				// Measured once, not per sweep: the lone carrier's queue
 				// diverges and the run only ends at the wall-clock guard.
@@ -710,66 +697,51 @@ func fleetPlan(q Quality) figurePlan {
 				})
 				continue
 			}
-			cells = append(cells, cell{
-				Label:  fmt.Sprintf("remotes=%d n=%d", remotes, load),
-				Worlds: 1,
-				Weight: 100 + load,
-				Run: func(seed uint64) (cellResult, error) {
-					w := newCellWorld(seed, remotes)
-					defer w.Close()
+			cells = append(cells, worldCell(fmt.Sprintf("remotes=%d n=%d", remotes, load), 100+load,
+				Config{FleetRemotes: remotes}, func(w *World) (cellResult, error) {
 					p, err := w.MeasureFleetScalability(load, q.ScaleRounds)
 					if err != nil {
 						return cellResult{}, err
 					}
-					row := fmt.Sprintf("  %-10d %-18s %-10s %-10s %-8d %d\n", load, label(remotes),
-						metrics.FormatSeconds(p.PLT.Mean), metrics.FormatSeconds(p.PLT.P95),
-						p.Failed, p.PLT.N)
-					return settledResult(w, row,
-						namedValue{Name: "plt", Value: p.PLT.Mean, Unit: "s"})
-				},
-			})
+					return cellResult{
+						Row: fmt.Sprintf("  %-10d %-18s %-10s %-10s %-8d %d\n", load, label(remotes),
+							obs.FormatSeconds(p.PLT.Mean), obs.FormatSeconds(p.PLT.P95),
+							p.Failed, p.PLT.N),
+						Values: []namedValue{{Name: "plt", Value: p.PLT.Mean, Unit: "s"}},
+					}, nil
+				}))
 		}
 	}
-	cells = append(cells, cell{
-		Label:  "takedown",
-		Worlds: 1,
-		Weight: 100 + 60,
-		Run: func(seed uint64) (cellResult, error) {
-			w := NewWorld(Config{Seed: seed, FleetRemotes: 4, RunGuard: sweepRunGuard})
-			defer w.Close()
-			killAt := visitInterval / 2
-			res, err := w.MeasureFleetTakedown(60, q.ScaleRounds+1, 0, killAt)
-			if err != nil {
-				return cellResult{}, err
-			}
-			var b strings.Builder
-			fmt.Fprintf(&b, "\nTakedown during load (%d clients, 4 remotes; primary seized at t=%s)\n",
-				res.Clients, metrics.FormatSeconds(killAt.Seconds()))
-			fmt.Fprintf(&b, "  %-28s %-8s %s\n", "visits started", "count", "failed")
-			fmt.Fprintf(&b, "  %-28s %-8d %d\n", "before takedown", res.VisitsBefore, res.FailedBefore)
-			fmt.Fprintf(&b, "  %-28s %-8d %d\n",
-				fmt.Sprintf("within ejection window (%s)", metrics.FormatSeconds(res.Window.Seconds())),
-				res.VisitsWindow, res.FailedWindow)
-			fmt.Fprintf(&b, "  %-28s %-8d %d\n", "after ejection window", res.VisitsAfter, res.FailedAfter)
-			if res.FailedAfter > 0 {
-				fmt.Fprintf(&b, "  WARNING: failures persisted past the ejection window\n")
-			}
-			return settledResult(w, b.String(),
-				namedValue{Name: "failed-after-window", Value: float64(res.FailedAfter), Unit: ""})
-		},
-	})
+	cells = append(cells, worldCell("takedown", 100+60, Config{FleetRemotes: 4}, func(w *World) (cellResult, error) {
+		killAt := visitInterval / 2
+		res, err := w.MeasureFleetTakedown(60, q.ScaleRounds+1, 0, killAt)
+		if err != nil {
+			return cellResult{}, err
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "\nTakedown during load (%d clients, 4 remotes; primary seized at t=%s)\n",
+			res.Clients, obs.FormatSeconds(killAt.Seconds()))
+		fmt.Fprintf(&b, "  %-28s %-8s %s\n", "visits started", "count", "failed")
+		fmt.Fprintf(&b, "  %-28s %-8d %d\n", "before takedown", res.VisitsBefore, res.FailedBefore)
+		fmt.Fprintf(&b, "  %-28s %-8d %d\n",
+			fmt.Sprintf("within ejection window (%s)", obs.FormatSeconds(res.Window.Seconds())),
+			res.VisitsWindow, res.FailedWindow)
+		fmt.Fprintf(&b, "  %-28s %-8d %d\n", "after ejection window", res.VisitsAfter, res.FailedAfter)
+		if res.FailedAfter > 0 {
+			fmt.Fprintf(&b, "  WARNING: failures persisted past the ejection window\n")
+		}
+		return cellResult{
+			Row:    b.String(),
+			Values: []namedValue{{Name: "failed-after-window", Value: float64(res.FailedAfter), Unit: ""}},
+		}, nil
+	}))
 	return figurePlan{
 		Name:  "fleet",
 		Title: "Fleet — remote-proxy pool scalability",
+		Header: "Fleet — remote-proxy pool scalability (ScholarCloud, continuous browsing)\n" +
+			fmt.Sprintf("  %-10s %-18s %-10s %-10s %-8s %s\n",
+				"clients", "deployment", "mean-PLT", "p95-PLT", "failed", "visits"),
 		Cells: cells,
-		Render: func(rs []cellResult) string {
-			var b strings.Builder
-			fmt.Fprintf(&b, "Fleet — remote-proxy pool scalability (ScholarCloud, continuous browsing)\n")
-			fmt.Fprintf(&b, "  %-10s %-18s %-10s %-10s %-8s %s\n",
-				"clients", "deployment", "mean-PLT", "p95-PLT", "failed", "visits")
-			b.WriteString(concatRows(rs))
-			return b.String()
-		},
 	}
 }
 
@@ -789,7 +761,7 @@ func renderReplicated(p figurePlan, perSeed [][]cellResult, baseSeed uint64) str
 	}
 	if !numeric {
 		var b strings.Builder
-		b.WriteString(p.Render(perSeed[0]))
+		b.WriteString(p.render(perSeed[0]))
 		fmt.Fprintf(&b, "  (structural figure: seed %d shown; identical across the %d replicate seeds)\n",
 			baseSeed, len(perSeed))
 		return b.String()
@@ -838,9 +810,9 @@ func meanCI95(vals []float64) (mean, ci float64) {
 func formatValue(v float64, unit string) string {
 	switch unit {
 	case "s":
-		return metrics.FormatSeconds(v)
+		return obs.FormatSeconds(v)
 	case "KB":
-		return metrics.FormatKB(v)
+		return obs.FormatKB(v)
 	case "%":
 		return fmt.Sprintf("%.2f%%", v)
 	case "USD/day":

@@ -8,7 +8,7 @@ import (
 
 	"scholarcloud/internal/carrier"
 	"scholarcloud/internal/gfw"
-	"scholarcloud/internal/metrics"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
 )
 
@@ -115,7 +115,7 @@ type TransportsResult struct {
 	// Invocations is how many rendezvous endpoint invocations (cold
 	// starts) the stage's load paid for.
 	Invocations int64
-	PLT         metrics.Summary // seconds, successful visits only
+	PLT         obs.Summary // seconds, successful visits only
 	Visits      int
 	Failed      int
 }
@@ -154,7 +154,7 @@ func (w *World) MeasureTransports(s TransportStage, n, rounds int) (*TransportsR
 	if err := w.ApplyTransportStage(s); err != nil {
 		return nil, err
 	}
-	p, err := w.measureScalabilityAt(w.Methods()[4], n, rounds, transportsStressInterval, false)
+	p, err := w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, transportsStressInterval, false)
 	if err != nil {
 		return nil, err
 	}
@@ -177,22 +177,9 @@ func (w *World) MeasureTransports(s TransportStage, n, rounds int) (*TransportsR
 func transportsRow(r *TransportsResult) string {
 	return fmt.Sprintf("  %-16s %-12s %-10s %-10s %-8d %-8d %-9s %-7d %-9d %.2f\n",
 		r.Stage, r.FinalRung,
-		metrics.FormatSeconds(r.PLT.Mean), metrics.FormatSeconds(r.PLT.P95),
+		obs.FormatSeconds(r.PLT.Mean), obs.FormatSeconds(r.PLT.P95),
 		r.Visits, r.Failed, fmt.Sprintf("%.1f%%", 100*r.SuccessRate()),
 		r.Escalations, r.Invocations, r.InvocationCostUSD())
-}
-
-// transportsHeader formats the figure's preamble and column header.
-func transportsHeader(rounds int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Transport ladder (%d clients, %d rounds at %s cadence; rungs: %s)\n",
-		transportsClients, rounds,
-		metrics.FormatSeconds(transportsStressInterval.Seconds()),
-		strings.Join(carrier.Known(), " -> "))
-	fmt.Fprintf(&b, "  %-16s %-12s %-10s %-10s %-8s %-8s %-9s %-7s %-9s %s\n",
-		"censor stage", "final rung", "plt(mean)", "plt(p95)",
-		"visits", "failed", "success", "escal", "invokes", "usd/day")
-	return b.String()
 }
 
 // transportsPlan decomposes the transport-ladder figure for the parallel
@@ -201,40 +188,28 @@ func transportsHeader(rounds int) string {
 func transportsPlan(q Quality) figurePlan {
 	rounds := q.ScaleRounds + 1
 	var cells []cell
-	cells = append(cells, cell{
-		Label: "header",
-		Run: func(uint64) (cellResult, error) {
-			return cellResult{Row: transportsHeader(rounds)}, nil
-		},
-	})
 	for _, stage := range TransportStages() {
-		stage := stage
-		cells = append(cells, cell{
-			Label:  stage.Name,
-			Worlds: 1,
-			Weight: 100 + transportsClients,
-			Run: func(seed uint64) (cellResult, error) {
-				w := NewWorld(Config{
-					Seed:       seed,
-					Transports: carrier.Known(),
-					Resilience: true,
-					RunGuard:   sweepRunGuard,
-				})
-				defer w.Close()
+		cells = append(cells, worldCell(stage.Name, 100+transportsClients,
+			Config{Transports: carrier.Known(), Resilience: true}, func(w *World) (cellResult, error) {
 				r, err := w.MeasureTransports(stage, transportsClients, rounds)
 				if err != nil {
 					return cellResult{}, err
 				}
-				return settledResult(w, transportsRow(r),
-					namedValue{Name: "success", Value: 100 * r.SuccessRate(), Unit: "%"},
-					namedValue{Name: "plt", Value: r.PLT.Mean, Unit: "s"})
-			},
-		})
+				return cellResult{Row: transportsRow(r), Values: []namedValue{
+					{Name: "success", Value: 100 * r.SuccessRate(), Unit: "%"},
+					{Name: "plt", Value: r.PLT.Mean, Unit: "s"}}}, nil
+			}))
 	}
 	return figurePlan{
-		Name:   "transports",
-		Title:  "Carrier transports & escalation ladder",
-		Cells:  cells,
-		Render: concatRows,
+		Name:  "transports",
+		Title: "Carrier transports & escalation ladder",
+		Header: fmt.Sprintf("Transport ladder (%d clients, %d rounds at %s cadence; rungs: %s)\n",
+			transportsClients, rounds,
+			obs.FormatSeconds(transportsStressInterval.Seconds()),
+			strings.Join(carrier.Known(), " -> ")) +
+			fmt.Sprintf("  %-16s %-12s %-10s %-10s %-8s %-8s %-9s %-7s %-9s %s\n",
+				"censor stage", "final rung", "plt(mean)", "plt(p95)",
+				"visits", "failed", "success", "escal", "invokes", "usd/day"),
+		Cells: cells,
 	}
 }

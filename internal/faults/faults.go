@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"scholarcloud/internal/gfw"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netsim"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -129,11 +128,11 @@ type Scheduler struct {
 	gfwBase gfw.Policy    // GFW posture at injection start; episodes overlay it
 	active  map[int]Event // windowed events currently applied, by index
 
-	applied  metrics.Counter
-	reverted metrics.Counter
-	crashes  metrics.Counter
-	restarts metrics.Counter
-	skipped  metrics.Counter
+	applied  obs.Counter
+	reverted obs.Counter
+	crashes  obs.Counter
+	restarts obs.Counter
+	skipped  obs.Counter
 
 	flowTrace *obs.Trace
 }

@@ -42,7 +42,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/mux"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -167,7 +166,7 @@ func (e *DownError) Unwrap() error { return e.Last }
 type slot struct {
 	sess     *mux.Session
 	dialing  bool
-	inflight metrics.Gauge
+	inflight obs.Gauge
 }
 
 // endpoint is the pool's view of one remote.
@@ -182,10 +181,10 @@ type endpoint struct {
 	backoff     time.Duration
 	lastErr     string
 
-	opened    metrics.Counter
-	failures  metrics.Counter
-	probes    metrics.Counter
-	ejections metrics.Counter
+	opened    obs.Counter
+	failures  obs.Counter
+	probes    obs.Counter
+	ejections obs.Counter
 }
 
 func (ep *endpoint) inflight() int64 {
@@ -220,10 +219,10 @@ type Pool struct {
 	rng    *rand.Rand
 	closed bool
 
-	picks        metrics.Counter
-	failovers    metrics.Counter
-	rotations    metrics.Counter
-	dialTimeouts metrics.Counter
+	picks        obs.Counter
+	failovers    obs.Counter
+	rotations    obs.Counter
+	dialTimeouts obs.Counter
 
 	flowTrace atomic.Pointer[obs.Trace]
 }

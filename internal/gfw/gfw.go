@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"scholarcloud/internal/dnssim"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netsim"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
@@ -137,7 +136,7 @@ type GFW struct {
 	flowTrace atomic.Pointer[obs.Trace]
 	// obsVerdicts counts Inspect outcomes, indexed by netsim.Verdict.
 	// Resolved once in Instrument; nil entries mean unobserved.
-	obsVerdicts [3]*metrics.Counter
+	obsVerdicts [3]*obs.Counter
 }
 
 // knownClasses is every class DPI can assign, for metric registration.

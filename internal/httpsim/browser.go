@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"scholarcloud/internal/cache/lru"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/tlssim"
@@ -91,9 +90,9 @@ type Browser struct {
 // browserObs holds the browser's resolved metric handles (PLT phase
 // breakdown); nil when uninstrumented.
 type browserObs struct {
-	visits, visitFailures, fetches  *metrics.Counter
-	redirects, conns, tlsHandshakes *metrics.Counter
-	cacheHits, accountRecords       *metrics.Counter
+	visits, visitFailures, fetches  *obs.Counter
+	redirects, conns, tlsHandshakes *obs.Counter
+	cacheHits, accountRecords       *obs.Counter
 	pltSeconds, fetchSeconds        *obs.Histogram
 }
 

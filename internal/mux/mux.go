@@ -26,8 +26,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
+	"scholarcloud/internal/obs"
 )
 
 // Frame types.
@@ -100,9 +100,9 @@ type Session struct {
 // same Counters value is typically installed on every session of one
 // tunnel endpoint, so the totals aggregate across carriers.
 type Counters struct {
-	FramesIn   *metrics.Counter
-	FramesOut  *metrics.Counter
-	Keepalives *metrics.Counter // ping+pong frames sent
+	FramesIn   *obs.Counter
+	FramesOut  *obs.Counter
+	Keepalives *obs.Counter // ping+pong frames sent
 }
 
 // SetCounters installs (or, with nil, removes) frame counters. Safe to

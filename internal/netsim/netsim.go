@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/vclock"
@@ -294,10 +293,10 @@ type Network struct {
 
 	// Obs handles are resolved once in Observe; nil until then so the
 	// packet path pays a single nil check when unobserved.
-	obsPackets *metrics.Counter
-	obsInject  *metrics.Counter
-	obsRetrans *metrics.Counter
-	obsDrops   [numDropReasons]*metrics.Counter
+	obsPackets *obs.Counter
+	obsInject  *obs.Counter
+	obsRetrans *obs.Counter
+	obsDrops   [numDropReasons]*obs.Counter
 }
 
 // Observe registers the network's packet, drop, injection and

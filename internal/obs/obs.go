@@ -1,7 +1,8 @@
 // Package obs is the repo's observability layer: a named-metrics registry
-// built on the lock-free primitives in internal/metrics, plus a structured
-// per-hop flow tracer (trace.go) that records span events on the virtual
-// clock.
+// built on the lock-free Counter/Gauge primitives (counters.go), a
+// structured per-hop flow tracer (trace.go) that records span events on
+// the virtual clock, and the sample statistics the figures print
+// (stats.go).
 //
 // Design constraints, in order:
 //
@@ -25,8 +26,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"scholarcloud/internal/metrics"
 )
 
 // Registry is a named collection of counters, gauges and histograms.
@@ -35,8 +34,8 @@ import (
 // where a return value is needed) when the receiver is nil.
 type Registry struct {
 	mu           sync.Mutex
-	counters     map[string]*metrics.Counter
-	gauges       map[string]*metrics.Gauge
+	counters     map[string]*Counter
+	gauges       map[string]*Gauge
 	hists        map[string]*Histogram
 	counterFuncs map[string][]func() int64
 	gaugeFuncs   map[string][]func() int64
@@ -45,8 +44,8 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:     make(map[string]*metrics.Counter),
-		gauges:       make(map[string]*metrics.Gauge),
+		counters:     make(map[string]*Counter),
+		gauges:       make(map[string]*Gauge),
 		hists:        make(map[string]*Histogram),
 		counterFuncs: make(map[string][]func() int64),
 		gaugeFuncs:   make(map[string][]func() int64),
@@ -57,15 +56,15 @@ func NewRegistry() *Registry {
 // it on first use. Calling Counter twice with the same name returns the
 // same handle. On a nil registry it returns a detached counter that is
 // never snapshotted, so callers can instrument unconditionally.
-func (r *Registry) Counter(name string) *metrics.Counter {
+func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return new(metrics.Counter)
+		return new(Counter)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = new(metrics.Counter)
+		c = new(Counter)
 		r.counters[name] = c
 	}
 	return c
@@ -73,15 +72,15 @@ func (r *Registry) Counter(name string) *metrics.Counter {
 
 // Gauge returns the registry-owned gauge with the given name, creating it
 // on first use. Nil-safe like Counter.
-func (r *Registry) Gauge(name string) *metrics.Gauge {
+func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return new(metrics.Gauge)
+		return new(Gauge)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = new(metrics.Gauge)
+		g = new(Gauge)
 		r.gauges[name] = g
 	}
 	return g
@@ -106,13 +105,13 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // RegisterCounter publishes a component-owned counter under name. Multiple
 // registrations under the same name are summed at snapshot time.
-func (r *Registry) RegisterCounter(name string, c *metrics.Counter) {
+func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.RegisterFunc(name, c.Value)
 }
 
 // RegisterGauge publishes a component-owned gauge under name. Multiple
 // registrations under the same name are summed at snapshot time.
-func (r *Registry) RegisterGauge(name string, g *metrics.Gauge) {
+func (r *Registry) RegisterGauge(name string, g *Gauge) {
 	if r == nil {
 		return
 	}
@@ -184,7 +183,7 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Snapshot is a point-in-time copy of a Registry's metrics.
+// Snapshot is a point-in-time copy of a Registry's
 type Snapshot struct {
 	Counters   map[string]int64
 	Gauges     map[string]int64
@@ -292,16 +291,16 @@ type Histogram struct {
 	bounds []float64
 	// buckets[i] counts observations <= bounds[i]; the final extra bucket
 	// counts observations above every bound.
-	buckets []metrics.Counter
-	count   metrics.Counter
+	buckets []Counter
+	count   Counter
 	// sum is kept in integer microseconds so it stays a single atomic add.
-	sumMicros metrics.Counter
+	sumMicros Counter
 }
 
 func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds:  bounds,
-		buckets: make([]metrics.Counter, len(bounds)+1),
+		buckets: make([]Counter, len(bounds)+1),
 	}
 }
 

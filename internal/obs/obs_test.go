@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/netx"
 )
 
@@ -25,7 +24,7 @@ func TestRegistryCountersAndSnapshot(t *testing.T) {
 	c.Add(3)
 	r.Gauge("layer.inflight").Set(7)
 
-	var external metrics.Counter
+	var external Counter
 	external.Add(5)
 	r.RegisterCounter("layer.hits", &external) // summed with the owned counter
 	r.RegisterFunc("layer.derived", func() int64 { return 11 })

@@ -1,7 +1,8 @@
-// Package metrics provides the small statistics toolkit the measurement
-// study uses: summaries with mean and error bars (the paper's figures show
-// max/min whiskers), percentiles, and rate helpers.
-package metrics
+package obs
+
+// stats.go is the small statistics toolkit the measurement study uses:
+// summaries with mean and error bars (the paper's figures show max/min
+// whiskers), percentiles, and the figures' number formatters.
 
 import (
 	"fmt"

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"time"
 
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/obs"
 )
 
@@ -176,8 +175,8 @@ type Director struct {
 
 	mu       sync.Mutex
 	onChange []func(up []string)
-	downs    metrics.Counter
-	ups      metrics.Counter
+	downs    obs.Counter
+	ups      obs.Counter
 	// now stamps transitions: the virtual clock in simulated worlds,
 	// time.Now in deployment, nil to leave transitions unstamped.
 	now           func() time.Time

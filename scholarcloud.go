@@ -29,7 +29,6 @@ import (
 	"scholarcloud/internal/censor"
 	"scholarcloud/internal/experiments"
 	"scholarcloud/internal/faults"
-	"scholarcloud/internal/metrics"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/survey"
 )
@@ -556,81 +555,119 @@ func (s *Simulation) MethodNames() []string {
 	return names
 }
 
-// Summary is a statistics summary re-exported for API users.
-type Summary = metrics.Summary
+// Summary is a statistics summary (mean, min/max, percentiles)
+// re-exported for API users.
+type Summary = obs.Summary
 
 // Snapshot returns the current cumulative state of every layer's metrics
 // (network, censor, tunnel core, fleet, browser).
 func (s *Simulation) Snapshot() obs.Snapshot { return s.World.Obs.Snapshot() }
 
+// Every Measure* result is the experiments package's result for that
+// measurement, embedded so its fields and computed-value methods (e.g.
+// SuccessRate) read directly off the facade value, beside the
+// observability delta of the run.
+
 // PLTResult is one method's Fig. 5a datapoint: first-time and subsequent
-// page load time summaries, plus the observability delta of the run.
+// page load time summaries (seconds).
 type PLTResult struct {
-	Method     string
-	FirstTime  Summary // seconds
-	Subsequent Summary // seconds
-	Obs        obs.Snapshot
+	experiments.PLTResult
+	Obs obs.Snapshot
 }
 
 // RTTResult is one method's Fig. 5b datapoint.
 type RTTResult struct {
-	Method string
-	RTT    Summary // seconds
-	Obs    obs.Snapshot
+	experiments.RTTResult
+	Obs obs.Snapshot
 }
 
 // PLRResult is one method's Fig. 5c datapoint.
 type PLRResult struct {
-	Method string
-	PLR    float64
-	// Packets is the sample size behind the estimate.
-	Packets int64
-	Obs     obs.Snapshot
+	experiments.PLRResult
+	Obs obs.Snapshot
 }
 
 // TrafficResult is one method's Fig. 6a datapoint.
 type TrafficResult struct {
-	Method         string
-	BytesPerAccess float64
-	Obs            obs.Snapshot
+	experiments.TrafficResult
+	Obs obs.Snapshot
 }
 
 // ScalabilityResult is one (method, concurrency) cell of Fig. 7.
 type ScalabilityResult struct {
-	Method  string
-	Clients int
-	PLT     Summary // seconds
-	Failed  int
-	Obs     obs.Snapshot
+	experiments.ScalabilityPoint
+	Obs obs.Snapshot
 }
 
 // FlowResult is a flow-level cohort measurement: a cohort of
 // Options.FlowClients identical clients modeled as calibrated fluid load,
 // with `Sampled` real packet-level clients riding it for tracing.
 type FlowResult struct {
-	Method  string
-	Clients int // cohort size
-	Sampled int // packet-level clients sampled from the cohort
-	// PLT and Failed summarize the sampled clients' visits under the
-	// cohort's load.
-	PLT    Summary // seconds
-	Failed int
-	// Analytic offered-load fractions the cohort imposes on the border
-	// link and the proxy CPU tiers (1.0 = at capacity).
-	BorderUtilization   float64
-	RemoteUtilization   float64
-	DomesticUtilization float64
-	// RequiredRemotes is the analytic floor on remote-proxy count needed
-	// to keep the remote tier under full utilization at this cohort size.
-	RequiredRemotes int
-	// Saturated reports that some resource's offered load is >= 1.
-	Saturated bool
-	// BorderBytes totals the cohort's border traffic for the session
-	// (measured for sampled clients, demand-scaled for the fluid rest);
-	// BytesPerClient divides it by the cohort size.
-	BorderBytes    int64
-	BytesPerClient float64
-	Obs            obs.Snapshot
+	experiments.FlowPoint
+	Obs obs.Snapshot
+}
+
+// FaultsResult is a faults-under-load datapoint: ScholarCloud page loads
+// measured while the armed fault scenario executed.
+type FaultsResult struct {
+	experiments.FaultsResult
+	Obs obs.Snapshot
+}
+
+// TransportsResult is a transport-ladder datapoint: ScholarCloud page
+// loads measured under one censor stage, with where the escalation walk
+// settled and what the serverless fallback cost (InvocationCostUSD).
+type TransportsResult struct {
+	experiments.TransportsResult
+	Obs obs.Snapshot
+}
+
+// CensorEvent is one entry of a border's escalation timeline: a scripted
+// stage firing, an adaptive escalation or relaxation, a traffic class
+// fingerprinted, a confirmed server blackholed, or the client cohort
+// rotating transports in response.
+type CensorEvent = censor.Event
+
+// RungSurvival is one transport rung's share of a border's page loads —
+// the per-transport survival curve.
+type RungSurvival = experiments.RungSurvival
+
+// BorderResult is one border's outcome under a multi-border censorship
+// profile: where its censor's escalation settled, where its client
+// cohort's transport ladder settled, and what the crackdown cost.
+type BorderResult = experiments.BorderOutcome
+
+// CensorshipResult is a multi-border censorship datapoint: every border
+// of the armed profile measured under the same concurrent load.
+type CensorshipResult struct {
+	experiments.CensorPoint
+	Obs obs.Snapshot
+}
+
+// ShardsResult is a sharded-tier load datapoint: ScholarCloud page loads
+// measured across the whole domestic tier under continuous browsing,
+// with the border traffic and tier economics the shard count produced.
+type ShardsResult struct {
+	experiments.ShardsPoint
+	Obs obs.Snapshot
+}
+
+// ShardKillResult classifies a load sweep's visits around a mid-sweep
+// shard seizure: the coordinated response (ring rehash, PAC refresh)
+// should confine failures to visits in flight at the seizure instant.
+type ShardKillResult struct {
+	experiments.ShardKillResult
+	Obs obs.Snapshot
+}
+
+// AutoscaleResult is a load-schedule datapoint for the domestic tier:
+// user experience, border traffic, the tier's capacity timeline, and
+// the fractional-VM cost per user. On a static simulation (no Autoscale
+// block) the capacity line is constant and the event counts are zero —
+// that is the baseline the autoscaled run is compared against.
+type AutoscaleResult struct {
+	experiments.AutoscalePoint
+	Obs obs.Snapshot
 }
 
 // PartialError is returned by Measure* methods whose run failed partway:
@@ -650,33 +687,20 @@ func (e *PartialError) Error() string { return e.Err.Error() }
 // Unwrap exposes the underlying failure to errors.Is/As.
 func (e *PartialError) Unwrap() error { return e.Err }
 
-// obsResult is implemented by every Measure* result type: they all carry
-// the run's observability delta. It is what lets measureInto stamp the
-// snapshot without per-method plumbing.
-type obsResult interface{ setObs(obs.Snapshot) }
-
-func (r *PLTResult) setObs(sn obs.Snapshot)         { r.Obs = sn }
-func (r *RTTResult) setObs(sn obs.Snapshot)         { r.Obs = sn }
-func (r *PLRResult) setObs(sn obs.Snapshot)         { r.Obs = sn }
-func (r *TrafficResult) setObs(sn obs.Snapshot)     { r.Obs = sn }
-func (r *ScalabilityResult) setObs(sn obs.Snapshot) { r.Obs = sn }
-func (r *FlowResult) setObs(sn obs.Snapshot)        { r.Obs = sn }
-
-// measureInto is the shared shell of every Measure* method: it brackets
-// the world measurement `run` between two registry snapshots, folds the
-// world's result into the facade result via `fill`, stamps the obs delta,
-// and returns res. A mid-run failure returns a PartialError carrying the
-// delta accumulated up to it instead of discarding it.
-func measureInto[T any, R obsResult](s *Simulation, res R, run func() (T, error), fill func(T)) (R, error) {
-	var zero R
+// measure is the shared shell of every Measure* method: it brackets the
+// world measurement `run` between two registry snapshots and returns the
+// world's result with the obs delta. A mid-run failure returns a
+// PartialError carrying the delta accumulated up to it instead of
+// discarding it.
+func measure[T any](s *Simulation, run func() (*T, error)) (T, obs.Snapshot, error) {
 	before := s.World.Obs.Snapshot()
 	r, err := run()
+	delta := s.World.Obs.Snapshot().Sub(before)
 	if err != nil {
-		return zero, &PartialError{Err: err, Obs: s.World.Obs.Snapshot().Sub(before)}
+		var zero T
+		return zero, obs.Snapshot{}, &PartialError{Err: err, Obs: delta}
 	}
-	fill(r)
-	res.setObs(s.World.Obs.Snapshot().Sub(before))
-	return res, nil
+	return *r, delta, nil
 }
 
 // MeasurePLT measures first-time and subsequent page load times for the
@@ -686,10 +710,13 @@ func (s *Simulation) MeasurePLT(method string, firstRuns, subsequent int) (*PLTR
 	if err != nil {
 		return nil, err
 	}
-	res := &PLTResult{Method: method}
-	return measureInto(s, res,
-		func() (*experiments.PLTResult, error) { return s.World.MeasurePLT(f, firstRuns, subsequent) },
-		func(r *experiments.PLTResult) { res.FirstTime, res.Subsequent = r.FirstTime, r.Subsequent })
+	r, sn, err := measure(s, func() (*experiments.PLTResult, error) {
+		return s.World.MeasurePLT(f, firstRuns, subsequent)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &PLTResult{r, sn}, nil
 }
 
 // MeasureRTT measures tunneled round-trip time (Fig. 5b).
@@ -698,10 +725,11 @@ func (s *Simulation) MeasureRTT(method string, probes int) (*RTTResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RTTResult{Method: method}
-	return measureInto(s, res,
-		func() (*experiments.RTTResult, error) { return s.World.MeasureRTT(f, probes) },
-		func(r *experiments.RTTResult) { res.RTT = r.RTT })
+	r, sn, err := measure(s, func() (*experiments.RTTResult, error) { return s.World.MeasureRTT(f, probes) })
+	if err != nil {
+		return nil, err
+	}
+	return &RTTResult{r, sn}, nil
 }
 
 // MeasurePLR measures the packet loss rate over the visit workload
@@ -711,10 +739,11 @@ func (s *Simulation) MeasurePLR(method string, visits int) (*PLRResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &PLRResult{Method: method}
-	return measureInto(s, res,
-		func() (*experiments.PLRResult, error) { return s.World.MeasurePLR(f, visits) },
-		func(r *experiments.PLRResult) { res.PLR, res.Packets = r.PLR, r.Packets })
+	r, sn, err := measure(s, func() (*experiments.PLRResult, error) { return s.World.MeasurePLR(f, visits) })
+	if err != nil {
+		return nil, err
+	}
+	return &PLRResult{r, sn}, nil
 }
 
 // MeasureTraffic measures per-access client bytes (Fig. 6a).
@@ -723,10 +752,11 @@ func (s *Simulation) MeasureTraffic(method string, visits int) (*TrafficResult, 
 	if err != nil {
 		return nil, err
 	}
-	res := &TrafficResult{Method: method}
-	return measureInto(s, res,
-		func() (*experiments.TrafficResult, error) { return s.World.MeasureTraffic(f, visits) },
-		func(r *experiments.TrafficResult) { res.BytesPerAccess = r.BytesPerAccess })
+	r, sn, err := measure(s, func() (*experiments.TrafficResult, error) { return s.World.MeasureTraffic(f, visits) })
+	if err != nil {
+		return nil, err
+	}
+	return &TrafficResult{r, sn}, nil
 }
 
 // MeasureScalability measures mean PLT under n concurrent clients
@@ -736,12 +766,13 @@ func (s *Simulation) MeasureScalability(method string, clients, rounds int) (*Sc
 	if err != nil {
 		return nil, err
 	}
-	res := &ScalabilityResult{Method: method, Clients: clients}
-	return measureInto(s, res,
-		func() (*experiments.ScalabilityPoint, error) {
-			return s.World.MeasureScalability(f, clients, rounds)
-		},
-		func(p *experiments.ScalabilityPoint) { res.PLT, res.Failed = p.PLT, p.Failed })
+	r, sn, err := measure(s, func() (*experiments.ScalabilityPoint, error) {
+		return s.World.MeasureScalability(f, clients, rounds)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ScalabilityResult{r, sn}, nil
 }
 
 // MeasureFlowScalability measures the named method under a flow-level
@@ -757,37 +788,14 @@ func (s *Simulation) MeasureFlowScalability(method string, rounds, sampled int) 
 	if err != nil {
 		return nil, err
 	}
-	res := &FlowResult{Method: method}
-	return measureInto(s, res,
-		func() (*experiments.FlowPoint, error) {
-			return s.World.MeasureFlowScalability(f, s.flowClients, rounds, sampled)
-		},
-		func(p *experiments.FlowPoint) {
-			res.Clients, res.Sampled = p.Clients, p.Sampled
-			res.PLT, res.Failed = p.PLT, p.Failed
-			res.BorderUtilization = p.BorderUtilization
-			res.RemoteUtilization = p.RemoteUtilization
-			res.DomesticUtilization = p.DomesticUtilization
-			res.RequiredRemotes, res.Saturated = p.RequiredRemotes, p.Saturated
-			res.BorderBytes, res.BytesPerClient = p.BorderBytes, p.BytesPerClient
-		})
+	r, sn, err := measure(s, func() (*experiments.FlowPoint, error) {
+		return s.World.MeasureFlowScalability(f, s.flowClients, rounds, sampled)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &FlowResult{r, sn}, nil
 }
-
-// FaultsResult is a faults-under-load datapoint: ScholarCloud page loads
-// measured while the armed fault scenario executed.
-type FaultsResult struct {
-	Scenario   string
-	Resilience bool
-	Clients    int
-	PLT        Summary // seconds, successful visits only
-	Visits     int
-	Failed     int
-	// SuccessRate is the fraction of page loads that completed.
-	SuccessRate float64
-	Obs         obs.Snapshot
-}
-
-func (r *FaultsResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 
 // MeasureFaults runs `clients` concurrent ScholarCloud clients for
 // `rounds` visit rounds while the script configured through
@@ -798,40 +806,12 @@ func (s *Simulation) MeasureFaults(clients, rounds int) (*FaultsResult, error) {
 	if s.World.Cfg.FaultScenario == "" {
 		return nil, fmt.Errorf("scholarcloud: MeasureFaults needs Options.Faults or Options.Censor.Episode (known scenarios: %s)", strings.Join(faults.Scenarios(), ", "))
 	}
-	res := &FaultsResult{}
-	return measureInto(s, res,
-		func() (*experiments.FaultsResult, error) { return s.World.MeasureFaults(clients, rounds) },
-		func(r *experiments.FaultsResult) {
-			res.Scenario, res.Resilience = r.Scenario, r.Resilience
-			res.Clients, res.PLT = r.Clients, r.PLT
-			res.Visits, res.Failed = r.Visits, r.Failed
-			res.SuccessRate = r.SuccessRate()
-		})
+	r, sn, err := measure(s, func() (*experiments.FaultsResult, error) { return s.World.MeasureFaults(clients, rounds) })
+	if err != nil {
+		return nil, err
+	}
+	return &FaultsResult{r, sn}, nil
 }
-
-// TransportsResult is a transport-ladder datapoint: ScholarCloud page
-// loads measured under one censor stage, with where the escalation walk
-// settled and what the serverless fallback cost.
-type TransportsResult struct {
-	Stage   string
-	Clients int
-	// FinalRung is the ladder's active transport once the load completed.
-	FinalRung   string
-	Escalations int64
-	// Invocations counts metered rendezvous endpoint invocations (cold
-	// starts); InvocationCostUSD extrapolates them to the paper's daily
-	// workload under serverless pricing.
-	Invocations       int64
-	InvocationCostUSD float64
-	PLT               Summary // seconds, successful visits only
-	Visits            int
-	Failed            int
-	// SuccessRate is the fraction of page loads that completed.
-	SuccessRate float64
-	Obs         obs.Snapshot
-}
-
-func (r *TransportsResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 
 // MeasureTransports arms the named censor stage (TransportStages()), then
 // runs `clients` concurrent ScholarCloud clients for `rounds` visit
@@ -854,73 +834,14 @@ func (s *Simulation) MeasureTransports(stage string, clients, rounds int) (*Tran
 		return nil, fmt.Errorf("scholarcloud: unknown censor stage %q (known stages: %s)",
 			stage, strings.Join(experiments.TransportStageNames(), ", "))
 	}
-	res := &TransportsResult{}
-	return measureInto(s, res,
-		func() (*experiments.TransportsResult, error) {
-			return s.World.MeasureTransports(st, clients, rounds)
-		},
-		func(r *experiments.TransportsResult) {
-			res.Stage, res.Clients = r.Stage, r.Clients
-			res.FinalRung, res.Escalations = r.FinalRung, r.Escalations
-			res.Invocations, res.InvocationCostUSD = r.Invocations, r.InvocationCostUSD()
-			res.PLT, res.Visits, res.Failed = r.PLT, r.Visits, r.Failed
-			res.SuccessRate = r.SuccessRate()
-		})
+	r, sn, err := measure(s, func() (*experiments.TransportsResult, error) {
+		return s.World.MeasureTransports(st, clients, rounds)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &TransportsResult{r, sn}, nil
 }
-
-// CensorEvent is one entry of a border's escalation timeline: a scripted
-// stage firing, an adaptive escalation or relaxation, a traffic class
-// fingerprinted, a confirmed server blackholed, or the client cohort
-// rotating transports in response.
-type CensorEvent = censor.Event
-
-// RungSurvival is one transport rung's share of a border's page loads —
-// the per-transport survival curve.
-type RungSurvival = experiments.RungSurvival
-
-// BorderResult is one border's outcome under a multi-border censorship
-// profile: where its censor's escalation settled, where its client
-// cohort's transport ladder settled, and what the crackdown cost.
-type BorderResult struct {
-	Border string
-	// FinalLevel is the adaptive controller's final escalation rung
-	// ("static" for scripted or lenient borders).
-	FinalLevel string
-	// FinalRung is the ladder's active transport once the load completed.
-	FinalRung string
-	// Escalations and Recoveries count the cohort's ladder moves.
-	Escalations int64
-	Recoveries  int64
-	PLT         Summary // seconds, successful visits only
-	Visits      int
-	Failed      int
-	// SuccessRate is the fraction of this border's page loads that
-	// completed.
-	SuccessRate float64
-	// Survival breaks the visits out per active transport, in ladder
-	// order.
-	Survival []RungSurvival
-	// Timeline is the border's merged escalation history, in onset order.
-	Timeline []CensorEvent
-}
-
-// CensorshipResult is a multi-border censorship datapoint: every border
-// of the armed profile measured under the same concurrent load.
-type CensorshipResult struct {
-	Profile string
-	// Clients is the per-border concurrent cohort size.
-	Clients int
-	Rounds  int
-	Visits  int
-	Failed  int
-	// SuccessRate is the whole-world fraction of page loads that
-	// completed.
-	SuccessRate float64
-	Borders     []BorderResult
-	Obs         obs.Snapshot
-}
-
-func (r *CensorshipResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 
 // MeasureCensorship arms the multi-border profile configured through
 // Options.Censor.Profile, then runs `clients` concurrent ScholarCloud
@@ -932,54 +853,12 @@ func (s *Simulation) MeasureCensorship(clients, rounds int) (*CensorshipResult, 
 		return nil, fmt.Errorf("scholarcloud: MeasureCensorship needs Options.Censor.Profile (known profiles: %s)",
 			strings.Join(censor.ProfileNames(), ", "))
 	}
-	res := &CensorshipResult{}
-	return measureInto(s, res,
-		func() (*experiments.CensorPoint, error) { return s.World.MeasureCensorship(clients, rounds) },
-		func(p *experiments.CensorPoint) {
-			res.Profile, res.Clients, res.Rounds = p.Profile, p.Clients, p.Rounds
-			res.SuccessRate = p.SuccessRate()
-			for _, b := range p.Borders {
-				res.Visits += b.Visits
-				res.Failed += b.Failed
-				res.Borders = append(res.Borders, BorderResult{
-					Border:      b.Border,
-					FinalLevel:  b.FinalLevel,
-					FinalRung:   b.FinalRung,
-					Escalations: b.Escalations,
-					Recoveries:  b.Recoveries,
-					PLT:         b.PLT,
-					Visits:      b.Visits,
-					Failed:      b.Failed,
-					SuccessRate: b.SuccessRate(),
-					Survival:    b.Survival,
-					Timeline:    b.Timeline,
-				})
-			}
-		})
+	r, sn, err := measure(s, func() (*experiments.CensorPoint, error) { return s.World.MeasureCensorship(clients, rounds) })
+	if err != nil {
+		return nil, err
+	}
+	return &CensorshipResult{r, sn}, nil
 }
-
-// ShardsResult is a sharded-tier load datapoint: ScholarCloud page loads
-// measured across the whole domestic tier under continuous browsing,
-// with the border traffic and tier economics the shard count produced.
-type ShardsResult struct {
-	Shards  int
-	Clients int
-	PLT     Summary // seconds, successful visits only
-	Failed  int
-	// BorderBytes is the traffic the border link carried during the
-	// sweep (both directions).
-	BorderBytes int64
-	// Tier-wide cache activity (summed over shards).
-	Hits           int64
-	SiblingFetches int64
-	BorderFetches  int64
-	// PerUserUSD prices the tier (Shards domestic VMs plus the remote)
-	// at the paper's daily workload.
-	PerUserUSD float64
-	Obs        obs.Snapshot
-}
-
-func (r *ShardsResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 
 // MeasureShards runs `clients` concurrent ScholarCloud clients for
 // `rounds` continuous-browsing visits across the domestic tier and
@@ -987,39 +866,12 @@ func (r *ShardsResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 // served user. It runs on single-proxy simulations too (the Shards=1
 // baseline the sharded rows are compared against).
 func (s *Simulation) MeasureShards(clients, rounds int) (*ShardsResult, error) {
-	res := &ShardsResult{}
-	return measureInto(s, res,
-		func() (*experiments.ShardsPoint, error) { return s.World.MeasureShards(clients, rounds) },
-		func(p *experiments.ShardsPoint) {
-			res.Shards, res.Clients = p.Shards, p.Clients
-			res.PLT, res.Failed = p.PLT, p.Failed
-			res.BorderBytes = p.BorderBytes
-			res.Hits, res.SiblingFetches, res.BorderFetches = p.Hits, p.SiblingFetches, p.BorderFetches
-			res.PerUserUSD = p.PerUserUSD
-		})
+	r, sn, err := measure(s, func() (*experiments.ShardsPoint, error) { return s.World.MeasureShards(clients, rounds) })
+	if err != nil {
+		return nil, err
+	}
+	return &ShardsResult{r, sn}, nil
 }
-
-// ShardKillResult classifies a load sweep's visits around a mid-sweep
-// shard seizure: the coordinated response (ring rehash, PAC refresh)
-// should confine failures to visits in flight at the seizure instant.
-type ShardKillResult struct {
-	Shards  int
-	Clients int
-	// Victim indexes the seized shard.
-	Victim int
-	KillAt time.Duration
-	PLT    Summary // seconds, successful visits only
-
-	VisitsBefore, FailedBefore int
-	VisitsAfter, FailedAfter   int
-	// SuccessAfter is the post-seizure success rate in [0, 1].
-	SuccessAfter float64
-	// SiblingErrors counts peer cache fetches that failed during the run.
-	SiblingErrors int64
-	Obs           obs.Snapshot
-}
-
-func (r *ShardKillResult) setObs(sn obs.Snapshot) { r.Obs = sn }
 
 // MeasureShardKill runs `clients` concurrent ScholarCloud clients for
 // `rounds` continuous-browsing visits each and seizes domestic shard
@@ -1030,19 +882,13 @@ func (s *Simulation) MeasureShardKill(clients, rounds, victim int, killAt time.D
 	if s.World.Cfg.Shards < 2 {
 		return nil, fmt.Errorf("scholarcloud: MeasureShardKill needs Options.Shards")
 	}
-	res := &ShardKillResult{}
-	return measureInto(s, res,
-		func() (*experiments.ShardKillResult, error) {
-			return s.World.MeasureShardKill(clients, rounds, victim, killAt)
-		},
-		func(r *experiments.ShardKillResult) {
-			res.Shards, res.Clients, res.Victim = r.Shards, r.Clients, r.Victim
-			res.KillAt, res.PLT = r.KillAt, r.PLT
-			res.VisitsBefore, res.FailedBefore = r.VisitsBefore, r.FailedBefore
-			res.VisitsAfter, res.FailedAfter = r.VisitsAfter, r.FailedAfter
-			res.SuccessAfter = r.SuccessAfter()
-			res.SiblingErrors = r.SiblingErrors
-		})
+	r, sn, err := measure(s, func() (*experiments.ShardKillResult, error) {
+		return s.World.MeasureShardKill(clients, rounds, victim, killAt)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ShardKillResult{r, sn}, nil
 }
 
 // LoadPhase is one segment of an autoscale load schedule: Clients
@@ -1064,38 +910,6 @@ func DiurnalSchedule() []LoadPhase {
 	return experiments.DiurnalSchedule(experiments.Quick())
 }
 
-// AutoscaleResult is a load-schedule datapoint for the domestic tier:
-// user experience, border traffic, the tier's capacity timeline, and
-// the fractional-VM cost per user. On a static simulation (no Autoscale
-// block) the capacity line is constant and the event counts are zero —
-// that is the baseline the autoscaled run is compared against.
-type AutoscaleResult struct {
-	Schedule string
-	// Mode is "autoscaled" or "static-K".
-	Mode   string
-	Visits int
-	Failed int
-	PLT    Summary // seconds, successful visits only
-	// P99PLT is the 99th-percentile page load time in seconds.
-	P99PLT float64
-	// BorderBytes is the traffic the border link carried during the
-	// schedule (both directions) — scale events included.
-	BorderBytes int64
-	// MeanShards is the time-weighted active shard count over the
-	// schedule; PeakShards is its maximum.
-	MeanShards float64
-	PeakShards int
-	ScaleUps   int
-	ScaleDowns int
-	// PerUserUSD prices the day at the paper's workload with fractional
-	// VM occupancy: the time-averaged tier size plus the remote at the
-	// VM day rate, plus metered egress at the measured bytes/access.
-	PerUserUSD float64
-	Obs        obs.Snapshot
-}
-
-func (r *AutoscaleResult) setObs(sn obs.Snapshot) { r.Obs = sn }
-
 // MeasureAutoscale drives the load schedule (e.g. FlashCrowdSchedule())
 // against the domestic tier, publishing each phase's offered load to
 // the autoscaler. It runs on static simulations too — with and without
@@ -1105,18 +919,11 @@ func (s *Simulation) MeasureAutoscale(schedule string, phases []LoadPhase) (*Aut
 	if len(phases) == 0 {
 		return nil, fmt.Errorf("scholarcloud: MeasureAutoscale needs a non-empty load schedule (e.g. FlashCrowdSchedule())")
 	}
-	res := &AutoscaleResult{}
-	return measureInto(s, res,
-		func() (*experiments.AutoscalePoint, error) { return s.World.MeasureAutoscale(schedule, phases) },
-		func(p *experiments.AutoscalePoint) {
-			res.Schedule, res.Mode = p.Schedule, p.Mode
-			res.Visits, res.Failed = p.Visits, p.Failed
-			res.PLT, res.P99PLT = p.PLT, p.P99PLT
-			res.BorderBytes = p.BorderBytes
-			res.MeanShards, res.PeakShards = p.MeanShards, p.PeakShards
-			res.ScaleUps, res.ScaleDowns = p.ScaleUps, p.ScaleDowns
-			res.PerUserUSD = p.PerUserUSD
-		})
+	r, sn, err := measure(s, func() (*experiments.AutoscalePoint, error) { return s.World.MeasureAutoscale(schedule, phases) })
+	if err != nil {
+		return nil, err
+	}
+	return &AutoscaleResult{r, sn}, nil
 }
 
 // TracePageLoad performs one first-time page load through the named

@@ -146,8 +146,8 @@ func TestTransportsFacade(t *testing.T) {
 	if r.Failed != 0 {
 		t.Errorf("%d failed visits under an open censor", r.Failed)
 	}
-	if r.SuccessRate < 1 {
-		t.Errorf("success rate = %v", r.SuccessRate)
+	if r.SuccessRate() < 1 {
+		t.Errorf("success rate = %v", r.SuccessRate())
 	}
 
 	if _, err := sim.MeasureTransports("carpet-bomb", 1, 1); err == nil ||
@@ -212,8 +212,8 @@ func TestShardKillFacade(t *testing.T) {
 	if r.VisitsAfter == 0 {
 		t.Error("no visits after the seizure")
 	}
-	if r.SuccessAfter < 0.99 {
-		t.Errorf("post-seizure success = %v, want >= 0.99", r.SuccessAfter)
+	if r.SuccessAfter() < 0.99 {
+		t.Errorf("post-seizure success = %v, want >= 0.99", r.SuccessAfter())
 	}
 }
 
@@ -366,8 +366,8 @@ func TestCensorFacade(t *testing.T) {
 	if r.Profile != "regional" || len(r.Borders) != 2 {
 		t.Fatalf("result = profile %q, %d borders", r.Profile, len(r.Borders))
 	}
-	if r.Visits == 0 || r.SuccessRate <= 0 {
-		t.Errorf("visits = %d, success = %v", r.Visits, r.SuccessRate)
+	if r.Visits() == 0 || r.SuccessRate() <= 0 {
+		t.Errorf("visits = %d, success = %v", r.Visits(), r.SuccessRate())
 	}
 	for _, b := range r.Borders {
 		if b.FinalRung == "" || len(b.Survival) == 0 {
