@@ -17,6 +17,9 @@ check: build vet fmt race-hot race bench-selftest deprecations determinism
 ## The third keeps the shard tier orchestrated once: internal/tier is the
 ## only place a Director or an autoscale controller is constructed, so
 ## the simulated and the real-socket tier cannot grow apart again.
+## The fourth does the same for the border hop: core.Domestic.AssembleBorder
+## is the only place a remote pool or a carrier ladder is constructed
+## (benchmark/layers drives fleet.New directly, as an isolated layer).
 deprecations:
 	@if grep -n "// Deprecated:" *.go; then \
 		echo "deprecation gate: remove deprecated API from the public facade instead of marking it"; exit 1; \
@@ -35,6 +38,13 @@ deprecations:
 		echo "deprecation gate: orchestrate the shard tier only through internal/tier"; exit 1; \
 	else \
 		echo "deprecation gate: no tier orchestration outside internal/tier"; \
+	fi
+	@if grep -rnE "fleet\.New\(|carrier\.NewLadder\(" \
+		--include="*.go" --exclude="*_test.go" --exclude-dir=.bench_build --exclude-dir=benchmark . \
+		| grep -vE "^\./internal/(core|fleet|carrier)/"; then \
+		echo "deprecation gate: assemble the border hop only through core.Domestic.AssembleBorder"; exit 1; \
+	else \
+		echo "deprecation gate: no pool or ladder construction outside internal/core"; \
 	fi
 
 build:

@@ -126,8 +126,8 @@ func runDomestic(args []string) {
 	autoscaleN := fs.Int("autoscale", 0, "autoscale the -shards tier: start with this many active shards, park the rest as standbys, and scale on demand (0 = static tier)")
 	autoscaleEvery := fs.Duration("autoscale-interval", 0, "autoscaler control-loop interval (0 = default 15s; needs -autoscale)")
 	resilient := fs.Bool("resilient", false, "enable client-path resilience: dial/request deadlines, reconnect backoff, hedged failover")
-	dialTimeout := fs.Duration("dial-timeout", 0, "resilience per-dial deadline (0 = default 3s; needs -resilient)")
-	requestTimeout := fs.Duration("request-timeout", 0, "resilience per-request deadline (0 = default 30s; needs -resilient)")
+	dialTimeout := fs.Duration("dial-timeout", 0, "resilience per-dial deadline (0 = default 3s, 12s with -transports; needs -resilient or -transports)")
+	requestTimeout := fs.Duration("request-timeout", 0, "resilience per-request deadline (0 = default 45s, 90s with -transports; needs -resilient)")
 	fs.Parse(args)
 	if *secret == "" || (*remote == "" && *transports == "") {
 		fmt.Fprintln(os.Stderr, "domestic: -secret and one of -remote or -transports are required")

@@ -269,8 +269,10 @@ type DomesticConfig struct {
 	// behaviour.
 	Resilience bool
 	// DialTimeout/RequestTimeout override the resilience deadlines (zero
-	// selects the core defaults, 3 s per dial and 30 s per request). They
-	// take effect only with Resilience on.
+	// selects the core defaults: 3 s per dial and 45 s per request, or the
+	// laddered-border tuning of 12 s and 90 s with Transports). They take
+	// effect only with Resilience on, except that a Transports ladder
+	// always bounds its dials.
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 }
@@ -527,63 +529,32 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 	reg := obs.NewRegistry()
 	domestic.Instrument(reg)
 
-	var (
-		eps    []fleet.Endpoint
-		ladder *carrier.Ladder
-	)
+	border := core.Border{Pool: fleet.Config{
+		SessionsPerRemote: cfg.SessionsPerRemote,
+		DialTimeout:       cfg.DialTimeout,
+	}}
 	if len(cfg.Transports) > 0 {
 		rungs, err := transportRungs(cfg.Transports, domestic.WrapCarrier)
 		if err != nil {
 			return nil, err
 		}
-		lcfg := carrier.LadderConfig{Env: env}
+		border.Rungs = rungs
 		if cfg.CensorProfile != "" {
-			lcfg.TripAfter = censor.SurvivalTripAfter
-			lcfg.ProbeInterval = censor.SurvivalProbeInterval
-		}
-		ladder = carrier.NewLadder(lcfg, rungs...)
-		ladder.Instrument(reg)
-		domestic.NextTransport = ladder.NextName
-		for _, tr := range rungs {
-			eps = append(eps, fleet.Endpoint{
-				Name:      tr.Name(),
-				Transport: tr.Name(),
-				Dial:      tr.Dial,
-			})
+			border.Ladder.TripAfter = censor.SurvivalTripAfter
+			border.Ladder.ProbeInterval = censor.SurvivalProbeInterval
 		}
 	} else {
 		for _, addr := range addrs {
 			addr := addr
-			eps = append(eps, fleet.Endpoint{
+			border.Remotes = append(border.Remotes, fleet.Endpoint{
 				Name: addr,
 				Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) },
 			})
 		}
 	}
-	fcfg := fleet.Config{
-		Env:               env,
-		NewSession:        domestic.WrapCarrier,
-		SessionsPerRemote: cfg.SessionsPerRemote,
-	}
-	if ladder != nil {
-		fcfg.Escalate = ladder
-	}
-	// A censor-blackholed transport's dials would hang the pool's warmer
-	// for the full TCP retry schedule, so a ladder always bounds them.
-	if cfg.Resilience || ladder != nil {
-		fcfg.DialTimeout = cfg.DialTimeout
-		if fcfg.DialTimeout <= 0 {
-			fcfg.DialTimeout = 3 * time.Second
-		}
-	}
-	pool, err := fleet.New(fcfg, eps)
+	pool, ladder, err := domestic.AssembleBorder(border, reg)
 	if err != nil {
 		return nil, err
-	}
-	pool.Instrument(reg)
-	domestic.Fleet = pool
-	if ladder != nil {
-		ladder.Start()
 	}
 
 	// From here on every resource lives in p, so error exits close the

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"scholarcloud/internal/autoscale"
+	"scholarcloud/internal/core"
 	"scholarcloud/internal/httpsim"
 )
 
@@ -605,6 +606,57 @@ func TestRealSocketCensorProfile(t *testing.T) {
 
 	if got := domestic.ActiveTransport(); got != "blinded" {
 		t.Fatalf("ActiveTransport = %q, want %q", got, "blinded")
+	}
+}
+
+// TestRealSocketLadderTuning is the "simulated survival rates transfer"
+// promise made checkable: a Transports deployment runs the laddered-border
+// tuning the simulator's ladder and censor worlds are measured with (the
+// single-transport defaults would bound a rendezvous dial at 3 s and hedge
+// a DNS-tunnel page load after 2 s), and explicit deadlines still win.
+func TestRealSocketLadderTuning(t *testing.T) {
+	secret := []byte("deployment-secret")
+	remote, err := StartRemote(RemoteConfig{Listen: "127.0.0.1:0", Secret: secret})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+
+	for _, tc := range []struct {
+		name                string
+		dial, request       time.Duration // DomesticConfig overrides
+		wantDial, wantHedge time.Duration
+		wantRequest         time.Duration
+	}{
+		{name: "defaults", wantDial: core.LadderDialTimeout, wantHedge: core.LadderHedgeAfter, wantRequest: core.LadderRequestTimeout},
+		{name: "explicit", dial: 4 * time.Second, request: 20 * time.Second,
+			wantDial: 4 * time.Second, wantHedge: core.LadderHedgeAfter, wantRequest: 20 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			domestic, err := StartDomestic(DomesticConfig{
+				ProxyListen:    "127.0.0.1:0",
+				WebListen:      "127.0.0.1:0",
+				Transports:     []string{"blinded=" + remote.Addr().String()},
+				Resilience:     true,
+				DialTimeout:    tc.dial,
+				RequestTimeout: tc.request,
+				Secret:         secret,
+				Whitelist:      []string{"scholar.google.com"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer domestic.Close()
+			pc, resil := domestic.pool.Config(), domestic.domestic.Resil
+			if pc.DialTimeout != tc.wantDial || pc.ProbeTimeout != core.LadderProbeTimeout {
+				t.Errorf("pool dial bound/probe timeout = %v/%v, want %v/%v",
+					pc.DialTimeout, pc.ProbeTimeout, tc.wantDial, core.LadderProbeTimeout)
+			}
+			if resil.HedgeAfter != tc.wantHedge || resil.RequestTimeout != tc.wantRequest {
+				t.Errorf("hedge trigger/request deadline = %v/%v, want %v/%v",
+					resil.HedgeAfter, resil.RequestTimeout, tc.wantHedge, tc.wantRequest)
+			}
+		})
 	}
 }
 

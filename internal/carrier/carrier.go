@@ -26,7 +26,6 @@ package carrier
 import (
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"scholarcloud/internal/mux"
@@ -91,49 +90,11 @@ func (e *DialError) Error() string   { return fmt.Sprintf("carrier: %s dial time
 func (e *DialError) Timeout() bool   { return true }
 func (e *DialError) Temporary() bool { return true }
 
-// DialBounded runs dial but gives up after timeout, disowning (and
-// closing) a connection that completes late. A non-positive timeout
-// dials unboundedly. All blocking uses env primitives so the bound works
-// under the virtual-time scheduler.
+// DialBounded is netx.DialBounded reporting an expired bound as a
+// transport-labelled *DialError.
 func DialBounded(env netx.Env, name string, timeout time.Duration, dial func() (net.Conn, error)) (net.Conn, error) {
-	if timeout <= 0 {
-		return dial()
-	}
-	var (
-		mu       sync.Mutex
-		done     bool
-		timedOut bool
-		conn     net.Conn
-		err      error
-	)
-	cond := env.Sync.NewCond(&mu)
-	timer := env.Clock.AfterFunc(timeout, func() {
-		mu.Lock()
-		timedOut = true
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	env.Spawn.Go(func() {
-		c, e := dial()
-		mu.Lock()
-		if timedOut {
-			mu.Unlock()
-			if e == nil && c != nil {
-				c.Close() // nobody is waiting for it anymore
-			}
-			return
-		}
-		done, conn, err = true, c, e
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	for !done && !timedOut {
-		cond.Wait()
-	}
-	timer.Stop()
-	if !done {
+	conn, err := netx.DialBounded(env, timeout, dial)
+	if err == netx.ErrDialTimeout {
 		return nil, &DialError{Transport: name}
 	}
 	return conn, err

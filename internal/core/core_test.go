@@ -364,24 +364,21 @@ func TestFailoverToStandbyRemote(t *testing.T) {
 
 	// The paper's manual-standby deployment is now expressed as a
 	// degenerate two-member fleet: dead primary, live standby.
-	pool, err := fleet.New(fleet.Config{
-		Env:           w.env,
-		NewSession:    w.dom.WrapCarrier,
-		ProbeInterval: time.Hour, // keep probe traffic out of this test
-		Seed:          7,
-	}, []fleet.Endpoint{
-		{Name: "primary", Dial: func() (net.Conn, error) {
-			return nil, fmt.Errorf("primary remote is down")
-		}},
-		{Name: "standby", Dial: func() (net.Conn, error) {
-			return w.domestic.DialTCP("198.51.100.8:8443")
-		}},
-	})
+	pool, _, err := w.dom.AssembleBorder(Border{
+		Remotes: []fleet.Endpoint{
+			{Name: "primary", Dial: func() (net.Conn, error) {
+				return nil, fmt.Errorf("primary remote is down")
+			}},
+			{Name: "standby", Dial: func() (net.Conn, error) {
+				return w.domestic.DialTCP("198.51.100.8:8443")
+			}},
+		},
+		Pool: fleet.Config{ProbeInterval: time.Hour, Seed: 7}, // keep probe traffic out of this test
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	w.dom.Fleet = pool
 	// Primary remote goes away entirely.
 	w.remote.Close()
 
@@ -420,21 +417,18 @@ func TestAllDialsFailReturnsTypedError(t *testing.T) {
 	dead := func(name string) func() (net.Conn, error) {
 		return func() (net.Conn, error) { return nil, fmt.Errorf("%s unreachable", name) }
 	}
-	pool, err := fleet.New(fleet.Config{
-		Env:           w.env,
-		NewSession:    w.dom.WrapCarrier,
-		ProbeInterval: time.Hour,
-		Seed:          7,
-	}, []fleet.Endpoint{
-		{Name: "primary", Dial: dead("primary")},
-		{Name: "standby-1", Dial: dead("standby 1")},
-		{Name: "standby-2", Dial: dead("standby 2")},
-	})
+	pool, _, err := w.dom.AssembleBorder(Border{
+		Remotes: []fleet.Endpoint{
+			{Name: "primary", Dial: dead("primary")},
+			{Name: "standby-1", Dial: dead("standby 1")},
+			{Name: "standby-2", Dial: dead("standby 2")},
+		},
+		Pool: fleet.Config{ProbeInterval: time.Hour, Seed: 7},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	w.dom.Fleet = pool
 
 	_, err = w.dom.openSecure("203.0.113.10:7")
 	if !errors.Is(err, ErrAllRemotesDown) {
@@ -508,20 +502,17 @@ func TestFleetDialPathThroughDomestic(t *testing.T) {
 	}
 	w.n.Scheduler().Go(func() { standby.Serve(sln) })
 
-	pool, err := fleet.New(fleet.Config{
-		Env:           w.env,
-		NewSession:    w.dom.WrapCarrier,
-		ProbeInterval: 500 * time.Millisecond,
-		Seed:          7,
-	}, []fleet.Endpoint{
-		{Name: "198.51.100.7:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") }},
-		{Name: "198.51.100.8:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.8:8443") }},
-	})
+	pool, _, err := w.dom.AssembleBorder(Border{
+		Remotes: []fleet.Endpoint{
+			{Name: "198.51.100.7:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") }},
+			{Name: "198.51.100.8:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.8:8443") }},
+		},
+		Pool: fleet.Config{ProbeInterval: 500 * time.Millisecond, Seed: 7},
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	w.dom.Fleet = pool
 
 	visit := func() error {
 		conn, err := w.client.DialTCP("101.6.6.6:8118")

@@ -210,12 +210,14 @@ func (d *Domestic) session() (*mux.Session, error) {
 	d.dialing = true
 	d.mu.Unlock()
 
-	var raw net.Conn
-	var err error
+	var bound time.Duration // zero: the fail-fast proxy dials unbounded
 	if d.Resil != nil {
-		raw, err = d.dialRemoteBounded(d.Resil.withDefaults().DialTimeout)
-	} else {
-		raw, err = d.DialRemote()
+		bound = d.Resil.withDefaults().DialTimeout
+	}
+	raw, err := netx.DialBounded(d.Env, bound, d.DialRemote)
+	if err == netx.ErrDialTimeout {
+		d.deadlineHits.Inc()
+		err = fmt.Errorf("core: dial remote: %w", errDialTimeout)
 	}
 
 	d.mu.Lock()

@@ -94,55 +94,6 @@ func (d *Domestic) backoff(r Resilience, k int) time.Duration {
 	return b/2 + time.Duration(frac*float64(b/2))
 }
 
-// dialRemoteBounded runs DialRemote under the resilience dial deadline.
-// On timeout the dialing goroutine is disowned and its late connection,
-// if any, closed on arrival.
-func (d *Domestic) dialRemoteBounded(timeout time.Duration) (net.Conn, error) {
-	var (
-		mu       sync.Mutex
-		done     bool
-		timedOut bool
-		conn     net.Conn
-		err      error
-	)
-	cond := d.Env.Sync.NewCond(&mu)
-	d.Env.Spawn.Go(func() {
-		c, e := d.DialRemote()
-		mu.Lock()
-		if timedOut {
-			mu.Unlock()
-			// Guard on e, not c: a failed Dial may return a typed-nil
-			// conn inside a non-nil interface.
-			if e == nil && c != nil {
-				c.Close()
-			}
-			return
-		}
-		conn, err, done = c, e, true
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	timer := d.Env.Clock.AfterFunc(timeout, func() {
-		mu.Lock()
-		if !done {
-			timedOut = true
-			cond.Broadcast()
-		}
-		mu.Unlock()
-	})
-	defer timer.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	for !done && !timedOut {
-		cond.Wait()
-	}
-	if timedOut {
-		d.deadlineHits.Inc()
-		return nil, fmt.Errorf("core: dial remote: %w", errDialTimeout)
-	}
-	return conn, err
-}
-
 // errDialTimeout reports a remote dial that outlived its deadline.
 var errDialTimeout = errors.New("core: dial timed out")
 

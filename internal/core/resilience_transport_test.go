@@ -15,9 +15,10 @@ import (
 // TestHedgeLandsOnDifferentRung is the transport-aware-hedge regression
 // test: the active "blinded" rung stalls (a censor throttling the flow
 // rather than resetting it), and the hedge fired after HedgeAfter must be
-// issued on the next escalation rung — through the production wiring of
-// carrier.Ladder as both the fleet's Escalator and the proxy's
-// NextTransport hook — not on a second carrier of the stalled transport.
+// issued on the next escalation rung — through the production wiring
+// (AssembleBorder makes the carrier.Ladder both the fleet's Escalator and
+// the proxy's NextTransport hook) — not on a second carrier of the
+// stalled transport.
 func TestHedgeLandsOnDifferentRung(t *testing.T) {
 	w := newCoreWorld(t)
 	acc := netsim.LinkConfig{Delay: 2 * time.Millisecond}
@@ -59,27 +60,19 @@ func TestHedgeLandsOnDifferentRung(t *testing.T) {
 
 	dialStall := func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.9:8443") }
 	dialStandby := func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.8:8443") }
-	ladder := carrier.NewLadder(carrier.LadderConfig{Env: w.env},
-		carrier.NewBlinded(dialStall, w.dom.WrapCarrier),
-		carrier.NewStatic(carrier.Rendezvous, dialStandby, w.dom.WrapCarrier),
-	)
-	pool, err := fleet.New(fleet.Config{
-		Env:           w.env,
-		NewSession:    w.dom.WrapCarrier,
-		ProbeInterval: time.Hour, // no probe traffic: the hedge alone must switch rungs
-		Seed:          7,
-		Escalate:      ladder,
-	}, []fleet.Endpoint{
-		{Name: "stall", Transport: carrier.Blinded, Dial: dialStall},
-		{Name: "standby", Transport: carrier.Rendezvous, Dial: dialStandby},
-	})
+	w.dom.Resil = &Resilience{HedgeAfter: 500 * time.Millisecond, Seed: 7}
+	pool, ladder, err := w.dom.AssembleBorder(Border{
+		Rungs: []carrier.Transport{
+			carrier.NewBlinded(dialStall, w.dom.WrapCarrier),
+			carrier.NewStatic(carrier.Rendezvous, dialStandby, w.dom.WrapCarrier),
+		},
+		Pool: fleet.Config{ProbeInterval: time.Hour, Seed: 7}, // no probe traffic: the hedge alone must switch rungs
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-	w.dom.Fleet = pool
-	w.dom.NextTransport = ladder.NextName
-	w.dom.Resil = &Resilience{HedgeAfter: 500 * time.Millisecond, Seed: 7}
+	defer ladder.Close()
 
 	w.run(t, func() error {
 		w.env.Clock.Sleep(time.Second) // let the pool pre-dial both rungs

@@ -162,14 +162,10 @@ func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*Autoscal
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range results {
-			pt.Visits++
-			if r.failed {
-				pt.Failed++
-				continue
-			}
-			plts = append(plts, r.plt)
-		}
+		ok := successfulPLTs(results)
+		pt.Visits += len(results)
+		pt.Failed += len(results) - len(ok)
+		plts = append(plts, ok...)
 	}
 	w.SetDemand(0, 0)
 	end := w.Env.Clock.Now()

@@ -167,10 +167,6 @@ const (
 	fleetProbeInterval  = 2 * time.Second
 	fleetProbeTimeout   = 1 * time.Second
 	fleetReadmitBackoff = 15 * time.Second
-	// fleetDialTimeout bounds one carrier dial when Config.Resilience is
-	// on (a dead remote's SYNs otherwise stall the dialer for the full
-	// TCP handshake-retry schedule).
-	fleetDialTimeout = 3 * time.Second
 )
 
 // Transport-ladder infrastructure (Config.Transports non-empty). The
@@ -198,22 +194,6 @@ const (
 	// cost model charges for rendezvous endpoints (2016-era serverless
 	// pricing, request fee plus API-gateway share).
 	rendezvousInvocationUSD = 0.4e-6
-
-	// transportsProbeInterval/Timeout slow the fleet's health cadence in
-	// ladder worlds: an RTT echo over the DNS tunnel takes several
-	// hundred milliseconds even when healthy, so the single-remote
-	// cadence would misread load as death.
-	transportsProbeInterval = 5 * time.Second
-	transportsProbeTimeout  = 3 * time.Second
-	// transportsDialTimeout bounds one carrier dial across the slowest
-	// rung: a rendezvous dial retries several cold starts, a tunnel dial
-	// retransmits its SYN exchange.
-	transportsDialTimeout = 12 * time.Second
-	// transportsHedgeAfter/RequestTimeout relax the resilience policy
-	// for ladder worlds: the DNS-tunnel rung is legitimately slow, and
-	// the default 2 s hedge trigger would double its load permanently.
-	transportsHedgeAfter     = 8 * time.Second
-	transportsRequestTimeout = 90 * time.Second
 )
 
 // tunnelRelayIPs returns the resolver-pool addresses ("ip" only).

@@ -24,17 +24,6 @@ import (
 // and a fingerprint crackdown drives its cohort through the DNS tunnel.
 const censorClients = 6
 
-// Censor-region ladder and resilience tuning. Multi-border worlds live
-// through an active crackdown rather than a fixed fault window, so the
-// client side runs the censor package's survival tuning — the same
-// numbers DomesticConfig.CensorProfile applies to a real-socket
-// deployment, so the measured survival rates transfer.
-const (
-	censorTripAfter     = censor.SurvivalTripAfter
-	censorProbeInterval = censor.SurvivalProbeInterval
-	censorRetries       = censor.SurvivalRetries
-)
-
 // Region is one border's deployment in a multi-border censor world: its
 // own client zone and border link, its own firewall with independent
 // policy state, and its own domestic proxy with a full carrier
@@ -163,10 +152,8 @@ func (w *World) startCensorRegions() {
 			// early attempts on a freshly fingerprinted rung fail in
 			// milliseconds.
 			d.Resil = &core.Resilience{
-				Seed:           w.Cfg.Seed ^ 0x4E51AE ^ regionSalt(i),
-				HedgeAfter:     transportsHedgeAfter,
-				RequestTimeout: transportsRequestTimeout,
-				Retries:        censorRetries,
+				Seed:    w.Cfg.Seed ^ 0x4E51AE ^ regionSalt(i),
+				Retries: censor.SurvivalRetries,
 			}
 		}
 		wrap := d.WrapCarrier
@@ -176,42 +163,32 @@ func (w *World) startCensorRegions() {
 			w.newRendezvousRung(r.Host, wrap, regionSalt(i)),
 			w.newTunnelRung(r.Host, wrap, regionSalt(i)),
 		}
-		r.Ladder = carrier.NewLadder(carrier.LadderConfig{
-			Env: w.Env,
-			// Rotate on a hair trigger and probe back down lazily: during
-			// an adaptive crackdown a recovery probe's handshake is too
-			// short for the classifier, so an eager prober would keep
-			// stepping the cohort back onto a fingerprinted rung.
-			TripAfter:     censorTripAfter,
-			ProbeInterval: censorProbeInterval,
-			OnSwitch: func(from, to, reason string) {
-				r.record(w.Env.Clock.Now(), censor.Event{
-					Kind: "transport", From: from, To: to, Reason: reason,
-				})
+		// No registry: the shared fleet.*/carrier.ladder.* names would sum
+		// across borders (the per-border view is published below).
+		pool, ladder, err := d.AssembleBorder(core.Border{
+			Rungs: rungs,
+			Ladder: carrier.LadderConfig{
+				// Rotate on a hair trigger and probe back down lazily: during
+				// an adaptive crackdown a recovery probe's handshake is too
+				// short for the classifier, so an eager prober would keep
+				// stepping the cohort back onto a fingerprinted rung.
+				TripAfter:     censor.SurvivalTripAfter,
+				ProbeInterval: censor.SurvivalProbeInterval,
+				OnSwitch: func(from, to, reason string) {
+					r.record(w.Env.Clock.Now(), censor.Event{
+						Kind: "transport", From: from, To: to, Reason: reason,
+					})
+				},
 			},
-		}, rungs...)
-
-		eps := make([]fleet.Endpoint, 0, len(rungs))
-		for _, tr := range rungs {
-			eps = append(eps, fleet.Endpoint{Name: tr.Name(), Transport: tr.Name(), Dial: tr.Dial})
-		}
-		pool, err := fleet.New(fleet.Config{
-			Env:            w.Env,
-			NewSession:     wrap,
-			ProbeInterval:  transportsProbeInterval,
-			ProbeTimeout:   transportsProbeTimeout,
-			ReadmitBackoff: fleetReadmitBackoff,
-			DialTimeout:    transportsDialTimeout,
-			Seed:           w.Cfg.Seed ^ 0x7EA45 ^ regionSalt(i),
-			Escalate:       r.Ladder,
-		}, eps)
+			Pool: fleet.Config{
+				ReadmitBackoff: fleetReadmitBackoff,
+				Seed:           w.Cfg.Seed ^ 0x7EA45 ^ regionSalt(i),
+			},
+		}, nil)
 		if err != nil {
 			panic(err)
 		}
-		r.Fleet = pool
-		d.Fleet = pool
-		d.NextTransport = r.Ladder.NextName
-		r.Ladder.Start()
+		r.Fleet, r.Ladder = pool, ladder
 		r.Domestic = d
 
 		ln, err := r.Host.Listen("tcp", fmt.Sprintf(":%d", portProxy))

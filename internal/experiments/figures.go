@@ -357,74 +357,90 @@ func (w *World) measureScalabilityAt(f Factory, n, rounds int, cadence time.Dura
 	if err != nil {
 		return nil, err
 	}
-	var plts []time.Duration
-	for _, r := range results {
-		if r.failed {
-			point.Failed++
-			continue
-		}
-		plts = append(plts, r.plt)
-	}
+	plts := successfulPLTs(results)
+	point.Failed = len(results) - len(plts)
 	point.PLT = obs.SummarizeDurations(plts)
 	return point, nil
 }
 
 // visitResult is one browser visit's outcome inside a staggered cohort.
 type visitResult struct {
+	start  time.Duration // when the visit began, as an offset from cohort start
 	plt    time.Duration
 	failed bool
 }
 
-// runStaggeredClients runs n concurrent packet-level clients, each
-// performing `rounds` visits at the given cadence with arrival offsets
-// staggered uniformly across one cadence interval. It is the shared
-// engine behind the packet-mode scalability figures and the sampled
-// tracing clients of the flow-level mode.
-func (w *World) runStaggeredClients(f Factory, n, rounds int, cadence time.Duration, clearCache bool) ([]visitResult, error) {
-	var mu sync.Mutex
-	var results []visitResult
-
-	err := w.Run(func() error {
-		wg := w.Env.NewWaitGroup()
-		for i := 0; i < n; i++ {
-			i := i
-			wg.Add(1)
-			w.Env.Spawn.Go(func() {
-				defer wg.Done()
-				h := w.newScaleClient(i)
-				method := f.New(h)
-				defer method.Close()
-				if err := prepare(method); err != nil {
-					mu.Lock()
-					results = append(results, visitResult{failed: true})
-					mu.Unlock()
-					return
-				}
-				browser := w.newBrowser(method)
-				// Stagger arrivals uniformly across the interval.
-				w.Env.Clock.Sleep(time.Duration(i) * cadence / time.Duration(n))
-				for r := 0; r < rounds; r++ {
-					if clearCache {
-						browser.ClearContentCache()
-					}
-					st := browser.Visit(f.URL)
-					mu.Lock()
-					results = append(results, visitResult{plt: st.PLT, failed: st.Failed})
-					mu.Unlock()
-					sleep := cadence - st.PLT
-					if sleep > 0 {
-						w.Env.Clock.Sleep(sleep)
-					}
-				}
-			})
+// successfulPLTs returns the page-load times of the visits that
+// succeeded; the rest of results failed.
+func successfulPLTs(results []visitResult) []time.Duration {
+	var plts []time.Duration
+	for _, r := range results {
+		if !r.failed {
+			plts = append(plts, r.plt)
 		}
-		wg.Wait()
+	}
+	return plts
+}
+
+// runStaggeredClients runs one staggeredClients cohort in its own Run
+// window.
+func (w *World) runStaggeredClients(f Factory, n, rounds int, cadence time.Duration, clearCache bool) ([]visitResult, error) {
+	var results []visitResult
+	err := w.Run(func() error {
+		results = w.staggeredClients(f, n, rounds, cadence, clearCache)
 		return nil
 	})
-	if err != nil {
-		return nil, err
+	return results, err
+}
+
+// staggeredClients runs n concurrent packet-level clients, each
+// performing `rounds` visits at the given cadence with arrival offsets
+// staggered uniformly across one cadence interval. It is the shared
+// engine behind the packet-mode scalability figures, the sampled tracing
+// clients of the flow-level mode, and the mid-run takedown episodes. It
+// must run inside a Run window; an episode spawns its takedown goroutine
+// in the same window first, and its offsets then share the visits' origin.
+func (w *World) staggeredClients(f Factory, n, rounds int, cadence time.Duration, clearCache bool) []visitResult {
+	var mu sync.Mutex
+	var results []visitResult
+	t0 := w.Env.Clock.Now()
+
+	wg := w.Env.NewWaitGroup()
+	for i := 0; i < n; i++ {
+		i := i
+		wg.Add(1)
+		w.Env.Spawn.Go(func() {
+			defer wg.Done()
+			h := w.newScaleClient(i)
+			method := f.New(h)
+			defer method.Close()
+			if err := prepare(method); err != nil {
+				mu.Lock()
+				results = append(results, visitResult{start: w.Env.Clock.Now().Sub(t0), failed: true})
+				mu.Unlock()
+				return
+			}
+			browser := w.newBrowser(method)
+			// Stagger arrivals uniformly across the interval.
+			w.Env.Clock.Sleep(time.Duration(i) * cadence / time.Duration(n))
+			for r := 0; r < rounds; r++ {
+				if clearCache {
+					browser.ClearContentCache()
+				}
+				start := w.Env.Clock.Now().Sub(t0)
+				st := browser.Visit(f.URL)
+				mu.Lock()
+				results = append(results, visitResult{start: start, plt: st.PLT, failed: st.Failed})
+				mu.Unlock()
+				sleep := cadence - st.PLT
+				if sleep > 0 {
+					w.Env.Clock.Sleep(sleep)
+				}
+			}
+		})
 	}
-	return results, nil
+	wg.Wait()
+	return results
 }
 
 // scaleClients caches client hosts across sweep points so repeated

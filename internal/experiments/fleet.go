@@ -14,7 +14,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"scholarcloud/internal/obs"
@@ -72,55 +71,19 @@ func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration
 		KillAt:  killAt,
 		Window:  fleetEjectionWindow,
 	}
-	f := w.ScholarCloudFactory()
-	type visit struct {
-		start  time.Duration // offset from sweep start
-		plt    time.Duration
-		failed bool
-	}
-	var mu sync.Mutex
-	var visits []visit
-
+	var visits []visitResult
 	err := w.Run(func() error {
-		t0 := w.Env.Clock.Now()
 		w.Env.Spawn.Go(func() {
 			w.Env.Clock.Sleep(killAt)
 			w.TakedownFleetRemote(victim)
 		})
-		wg := w.Env.NewWaitGroup()
-		for i := 0; i < n; i++ {
-			i := i
-			wg.Add(1)
-			w.Env.Spawn.Go(func() {
-				defer wg.Done()
-				h := w.newScaleClient(i)
-				method := f.New(h)
-				defer method.Close()
-				if err := prepare(method); err != nil {
-					return
-				}
-				browser := w.newBrowser(method)
-				w.Env.Clock.Sleep(time.Duration(i) * visitInterval / time.Duration(n))
-				for r := 0; r < rounds; r++ {
-					start := w.Env.Clock.Now().Sub(t0)
-					st := browser.Visit(f.URL)
-					mu.Lock()
-					visits = append(visits, visit{start: start, plt: st.PLT, failed: st.Failed})
-					mu.Unlock()
-					if sleep := visitInterval - st.PLT; sleep > 0 {
-						w.Env.Clock.Sleep(sleep)
-					}
-				}
-			})
-		}
-		wg.Wait()
+		visits = w.staggeredClients(w.ScholarCloudFactory(), n, rounds, visitInterval, false)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	var plts []time.Duration
 	for _, v := range visits {
 		switch {
 		case v.start < killAt:
@@ -139,10 +102,7 @@ func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration
 				res.FailedAfter++
 			}
 		}
-		if !v.failed {
-			plts = append(plts, v.plt)
-		}
 	}
-	res.PLT = obs.SummarizeDurations(plts)
+	res.PLT = obs.SummarizeDurations(successfulPLTs(visits))
 	return res, nil
 }

@@ -248,14 +248,8 @@ func (w *World) MeasureFlowScalability(f Factory, n, rounds, sampled int) (*Flow
 	}
 	up, down := borderDelta(before, w.Border.Stats())
 
-	var plts []time.Duration
-	for _, r := range results {
-		if r.failed {
-			point.Failed++
-			continue
-		}
-		plts = append(plts, r.plt)
-	}
+	plts := successfulPLTs(results)
+	point.Failed = len(results) - len(plts)
 	point.PLT = obs.SummarizeDurations(plts)
 
 	// Border accounting: measured bytes for the sampled clients plus

@@ -13,7 +13,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"scholarcloud/internal/cache"
@@ -156,49 +155,13 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 		KillAt:  killAt,
 	}
 	siblingErrBefore := w.tierCacheStats().SiblingErrors
-	f := w.ScholarCloudFactory()
-	type visit struct {
-		start  time.Duration // offset from sweep start
-		plt    time.Duration
-		failed bool
-	}
-	var mu sync.Mutex
-	var visits []visit
-
+	var visits []visitResult
 	err := w.Run(func() error {
-		t0 := w.Env.Clock.Now()
 		w.Env.Spawn.Go(func() {
 			w.Env.Clock.Sleep(killAt)
 			w.KillShard(victim)
 		})
-		wg := w.Env.NewWaitGroup()
-		for i := 0; i < n; i++ {
-			i := i
-			wg.Add(1)
-			w.Env.Spawn.Go(func() {
-				defer wg.Done()
-				h := w.newScaleClient(i)
-				method := f.New(h)
-				defer method.Close()
-				if err := prepare(method); err != nil {
-					return
-				}
-				browser := w.newBrowser(method)
-				w.Env.Clock.Sleep(time.Duration(i) * cacheStressInterval / time.Duration(n))
-				for r := 0; r < rounds; r++ {
-					browser.ClearContentCache()
-					start := w.Env.Clock.Now().Sub(t0)
-					st := browser.Visit(f.URL)
-					mu.Lock()
-					visits = append(visits, visit{start: start, plt: st.PLT, failed: st.Failed})
-					mu.Unlock()
-					if sleep := cacheStressInterval - st.PLT; sleep > 0 {
-						w.Env.Clock.Sleep(sleep)
-					}
-				}
-			})
-		}
-		wg.Wait()
+		visits = w.staggeredClients(w.ScholarCloudFactory(), n, rounds, cacheStressInterval, true)
 		return nil
 	})
 	if err != nil {
@@ -206,7 +169,6 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 	}
 
 	res.SiblingErrors = w.tierCacheStats().SiblingErrors - siblingErrBefore
-	var plts []time.Duration
 	for _, v := range visits {
 		if v.start < killAt {
 			res.VisitsBefore++
@@ -219,11 +181,8 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 				res.FailedAfter++
 			}
 		}
-		if !v.failed {
-			plts = append(plts, v.plt)
-		}
 	}
-	res.PLT = obs.SummarizeDurations(plts)
+	res.PLT = obs.SummarizeDurations(successfulPLTs(visits))
 	return res, nil
 }
 

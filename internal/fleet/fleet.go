@@ -292,6 +292,10 @@ func (p *Pool) Instrument(reg *obs.Registry) {
 	}
 }
 
+// Config returns the pool's resolved configuration: what New was given,
+// with every zero value replaced by its default.
+func (p *Pool) Config() Config { return p.cfg }
+
 // SetTrace installs (or, with nil, removes) a flow tracer receiving a
 // span for every carrier pick, failover, ejection, re-admission and probe
 // outcome.
@@ -587,63 +591,16 @@ func (p *Pool) sessionFor(ep *endpoint) (*slot, *mux.Session, error) {
 	}
 }
 
-// dial runs ep.Dial, bounded by Config.DialTimeout when one is set. On
-// timeout the dialing goroutine is disowned: if its connection lands
-// later it is closed immediately, so a stalled dial can never leak a
-// carrier into the pool.
-func (p *Pool) dial(ep *endpoint) (net.Conn, error) {
-	if p.cfg.DialTimeout <= 0 {
-		return ep.Dial()
-	}
-	var (
-		mu       sync.Mutex
-		done     bool
-		timedOut bool
-		conn     net.Conn
-		err      error
-	)
-	cond := p.cfg.Env.Sync.NewCond(&mu)
-	p.cfg.Env.Spawn.Go(func() {
-		c, e := ep.Dial()
-		mu.Lock()
-		if timedOut {
-			mu.Unlock()
-			// Guard on e, not c: a failed Dial may return a typed-nil
-			// conn inside a non-nil interface.
-			if e == nil && c != nil {
-				c.Close()
-			}
-			return
-		}
-		conn, err, done = c, e, true
-		cond.Broadcast()
-		mu.Unlock()
-	})
-	timer := p.cfg.Env.Clock.AfterFunc(p.cfg.DialTimeout, func() {
-		mu.Lock()
-		if !done {
-			timedOut = true
-			cond.Broadcast()
-		}
-		mu.Unlock()
-	})
-	defer timer.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	for !done && !timedOut {
-		cond.Wait()
-	}
-	if timedOut {
-		p.dialTimeouts.Inc()
-		return nil, ErrDialTimeout
-	}
-	return conn, err
-}
-
 // dialSlot dials a carrier into sl (which the caller marked dialing).
 func (p *Pool) dialSlot(ep *endpoint, sl *slot) (*slot, *mux.Session, error) {
 	start := p.cfg.Env.Clock.Now()
-	raw, err := p.dial(ep)
+	// Bounded by Config.DialTimeout when one is set: a stalled dial can
+	// never leak a carrier into the pool (netx.DialBounded closes it late).
+	raw, err := netx.DialBounded(p.cfg.Env, p.cfg.DialTimeout, ep.Dial)
+	if err == netx.ErrDialTimeout {
+		p.dialTimeouts.Inc()
+		err = ErrDialTimeout
+	}
 	var sess *mux.Session
 	if err == nil {
 		sess = p.cfg.NewSession(raw)

@@ -8,6 +8,7 @@ package netx
 
 import (
 	cryptorand "crypto/rand"
+	"errors"
 	"io"
 	"net"
 	"sync"
@@ -192,4 +193,62 @@ func (wg *WaitGroup) Wait() {
 		wg.cond.Wait()
 	}
 	wg.mu.Unlock()
+}
+
+// ErrDialTimeout is what DialBounded returns, bare, when the bound
+// expires; callers map it to their own sentinel or counter.
+var ErrDialTimeout = errors.New("netx: dial timed out")
+
+// DialBounded runs dial but gives up after timeout. On timeout the
+// dialing goroutine is disowned: if its connection lands later it is
+// closed on arrival, so a stalled dial can never leak a connection to a
+// caller that stopped waiting. A non-positive timeout dials unboundedly.
+// All blocking uses env primitives so the bound works under the
+// virtual-time scheduler.
+func DialBounded(env Env, timeout time.Duration, dial func() (net.Conn, error)) (net.Conn, error) {
+	if timeout <= 0 {
+		return dial()
+	}
+	var (
+		mu       sync.Mutex
+		done     bool
+		timedOut bool
+		conn     net.Conn
+		err      error
+	)
+	cond := env.Sync.NewCond(&mu)
+	env.Spawn.Go(func() {
+		c, e := dial()
+		mu.Lock()
+		if timedOut {
+			mu.Unlock()
+			// Guard on e, not c: a failed Dial may return a typed-nil
+			// conn inside a non-nil interface.
+			if e == nil && c != nil {
+				c.Close()
+			}
+			return
+		}
+		conn, err, done = c, e, true
+		cond.Broadcast()
+		mu.Unlock()
+	})
+	timer := env.Clock.AfterFunc(timeout, func() {
+		mu.Lock()
+		if !done {
+			timedOut = true
+			cond.Broadcast()
+		}
+		mu.Unlock()
+	})
+	defer timer.Stop()
+	mu.Lock()
+	defer mu.Unlock()
+	for !done && !timedOut {
+		cond.Wait()
+	}
+	if timedOut {
+		return nil, ErrDialTimeout
+	}
+	return conn, err
 }

@@ -151,3 +151,50 @@ func TestDialerFunc(t *testing.T) {
 		t.Error("DialerFunc not invoked")
 	}
 }
+
+// closeSignal is a net.Conn that reports its Close.
+type closeSignal struct {
+	net.Conn
+	closed chan struct{}
+}
+
+func (c *closeSignal) Close() error { close(c.closed); return nil }
+
+func TestDialBounded(t *testing.T) {
+	env := RealEnv()
+	a, b := net.Pipe()
+	defer a.Close()
+	defer b.Close()
+
+	// A dial that lands in time passes through, error included.
+	conn, err := DialBounded(env, time.Minute, func() (net.Conn, error) { return a, nil })
+	if conn != a || err != nil {
+		t.Errorf("prompt dial = %v, %v", conn, err)
+	}
+	refused := io.ErrClosedPipe
+	if _, err := DialBounded(env, time.Minute, func() (net.Conn, error) { return nil, refused }); err != refused {
+		t.Errorf("dial error = %v, want it passed through", err)
+	}
+	// A non-positive bound dials inline.
+	if conn, err := DialBounded(env, 0, func() (net.Conn, error) { return a, nil }); conn != a || err != nil {
+		t.Errorf("unbounded dial = %v, %v", conn, err)
+	}
+
+	// A dial that outlives the bound is disowned, and the connection it
+	// produces later is closed on arrival rather than leaked.
+	release := make(chan struct{})
+	late := &closeSignal{Conn: b, closed: make(chan struct{})}
+	_, err = DialBounded(env, time.Millisecond, func() (net.Conn, error) {
+		<-release
+		return late, nil
+	})
+	if err != ErrDialTimeout {
+		t.Fatalf("stalled dial: err = %v, want ErrDialTimeout", err)
+	}
+	close(release)
+	select {
+	case <-late.closed:
+	case <-time.After(5 * time.Second):
+		t.Error("late connection was never closed")
+	}
+}
