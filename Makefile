@@ -20,6 +20,9 @@ check: build vet fmt race-hot race bench-selftest deprecations determinism
 ## The fourth does the same for the border hop: core.Domestic.AssembleBorder
 ## is the only place a remote pool or a carrier ladder is constructed
 ## (benchmark/layers drives fleet.New directly, as an isolated layer).
+## The fifth keeps that hop the only stream path: the single cached
+## session (DialRemote, session(), the "via primary" trace) is deleted,
+## and a proxy obtains a stream from its pool or not at all.
 deprecations:
 	@if grep -n "// Deprecated:" *.go; then \
 		echo "deprecation gate: remove deprecated API from the public facade instead of marking it"; exit 1; \
@@ -45,6 +48,12 @@ deprecations:
 		echo "deprecation gate: assemble the border hop only through core.Domestic.AssembleBorder"; exit 1; \
 	else \
 		echo "deprecation gate: no pool or ladder construction outside internal/core"; \
+	fi
+	@if grep -rnE "DialRemote|\.session\(\)|via primary" \
+		--include="*.go" --exclude="*_test.go" --exclude-dir=.bench_build .; then \
+		echo "deprecation gate: open border streams only through the assembled pool (core.Domestic.Fleet)"; exit 1; \
+	else \
+		echo "deprecation gate: no single-session stream path"; \
 	fi
 
 build:

@@ -115,7 +115,7 @@ func parseFlowClients(s string) ([]int, error) {
 
 // runTrace performs one first-time page load through the named method
 // with a flow tracer on every layer and prints the per-hop trace. It
-// uses the paper's default world (no fleet), so the ScholarCloud trace
+// uses the paper's default world (one remote), so the ScholarCloud trace
 // matches Fig. 4's session structure exactly.
 func runTrace(method string, seed uint64) {
 	w := experiments.NewWorld(experiments.Config{Seed: seed})

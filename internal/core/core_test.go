@@ -118,7 +118,6 @@ func newCoreWorld(t *testing.T) *coreWorld {
 	w.whitelist = pac.New("101.6.6.6:8118", []string{"origin.example", "203.0.113.10"})
 	w.dom = &Domestic{
 		Env:          w.env,
-		DialRemote:   func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") },
 		Secret:       secret,
 		Whitelist:    w.whitelist,
 		VerifyRemote: ca.Verifier(),
@@ -131,6 +130,28 @@ func newCoreWorld(t *testing.T) *coreWorld {
 	proxy := w.dom.Proxy()
 	n.Scheduler().Go(func() { proxy.Serve(pln) })
 	return w
+}
+
+// border assembles the proxy's border hop over eps (default: the primary
+// remote alone) — how every test in this package gets a stream path. The
+// pool is closed with the test.
+func (w *coreWorld) border(t *testing.T, cfg fleet.Config, eps ...fleet.Endpoint) *fleet.Pool {
+	t.Helper()
+	if len(eps) == 0 {
+		eps = []fleet.Endpoint{{Name: "198.51.100.7:8443", Dial: func() (net.Conn, error) {
+			return w.domestic.DialTCP("198.51.100.7:8443")
+		}}}
+	}
+	// Assemble on a managed goroutine: the pool's warmers start as soon as
+	// each endpoint is added, and only the scheduler keeps them from
+	// running while fleet.New is still adding the rest.
+	var pool *fleet.Pool
+	w.run(t, func() (err error) {
+		pool, _, err = w.dom.AssembleBorder(Border{Remotes: eps, Pool: cfg}, nil)
+		return err
+	})
+	t.Cleanup(pool.Close)
+	return pool
 }
 
 func (w *coreWorld) run(t *testing.T, fn func() error) {
@@ -149,6 +170,7 @@ func (w *coreWorld) run(t *testing.T, fn func() error) {
 
 func TestSecureStreamThroughBothProxies(t *testing.T) {
 	w := newCoreWorld(t)
+	w.border(t, fleet.Config{})
 	w.run(t, func() error {
 		conn, err := w.client.DialTCP("101.6.6.6:8118")
 		if err != nil {
@@ -176,6 +198,7 @@ func TestSecureStreamThroughBothProxies(t *testing.T) {
 
 func TestPlainHTTPUsesPerStreamChannel(t *testing.T) {
 	w := newCoreWorld(t)
+	w.border(t, fleet.Config{})
 	// Watch the border: the HTTP payload between the proxies must be
 	// wrapped (blinded mux + per-stream TLS) — "hello" never in the clear
 	// between domestic and remote.
@@ -216,6 +239,7 @@ func TestPlainHTTPUsesPerStreamChannel(t *testing.T) {
 
 func TestWhitelistRefusalBeforeTunnel(t *testing.T) {
 	w := newCoreWorld(t)
+	w.border(t, fleet.Config{})
 	w.run(t, func() error {
 		conn, err := w.client.DialTCP("101.6.6.6:8118")
 		if err != nil {
@@ -238,6 +262,7 @@ func TestWhitelistRefusalBeforeTunnel(t *testing.T) {
 
 func TestTunnelPersistsAcrossStreams(t *testing.T) {
 	w := newCoreWorld(t)
+	w.border(t, fleet.Config{})
 	w.run(t, func() error {
 		for i := 0; i < 3; i++ {
 			conn, err := w.client.DialTCP("101.6.6.6:8118")
@@ -254,14 +279,18 @@ func TestTunnelPersistsAcrossStreams(t *testing.T) {
 		}
 		return nil
 	})
-	// One carrier serves all three streams.
+	// The pool's pre-dialed carriers serve all three streams.
 	if st := w.remote.Stats(); st.StreamsOpened != 3 {
 		t.Errorf("streams = %d, want 3", st.StreamsOpened)
+	}
+	if st := w.dom.Stats(); st.Streams != 3 {
+		t.Errorf("domestic streams = %d, want 3", st.Streams)
 	}
 }
 
 func TestTunnelRecoversAfterCarrierLoss(t *testing.T) {
 	w := newCoreWorld(t)
+	w.border(t, fleet.Config{})
 	w.run(t, func() error {
 		conn, err := w.client.DialTCP("101.6.6.6:8118")
 		if err != nil {
@@ -273,7 +302,7 @@ func TestTunnelRecoversAfterCarrierLoss(t *testing.T) {
 		conn.Close()
 
 		// Kill the carrier (simulates a censor reset or remote restart).
-		w.dom.Rotate(w.dom.Epoch) // tears the session down; same epoch
+		w.dom.Rotate(w.dom.Epoch) // recycles every pooled carrier; same epoch
 
 		conn2, err := w.client.DialTCP("101.6.6.6:8118")
 		if err != nil {
@@ -364,21 +393,13 @@ func TestFailoverToStandbyRemote(t *testing.T) {
 
 	// The paper's manual-standby deployment is now expressed as a
 	// degenerate two-member fleet: dead primary, live standby.
-	pool, _, err := w.dom.AssembleBorder(Border{
-		Remotes: []fleet.Endpoint{
-			{Name: "primary", Dial: func() (net.Conn, error) {
-				return nil, fmt.Errorf("primary remote is down")
-			}},
-			{Name: "standby", Dial: func() (net.Conn, error) {
-				return w.domestic.DialTCP("198.51.100.8:8443")
-			}},
-		},
-		Pool: fleet.Config{ProbeInterval: time.Hour, Seed: 7}, // keep probe traffic out of this test
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	pool := w.border(t, fleet.Config{ProbeInterval: time.Hour, Seed: 7}, // keep probe traffic out of this test
+		fleet.Endpoint{Name: "primary", Dial: func() (net.Conn, error) {
+			return nil, fmt.Errorf("primary remote is down")
+		}},
+		fleet.Endpoint{Name: "standby", Dial: func() (net.Conn, error) {
+			return w.domestic.DialTCP("198.51.100.8:8443")
+		}})
 	// Primary remote goes away entirely.
 	w.remote.Close()
 
@@ -402,8 +423,8 @@ func TestFailoverToStandbyRemote(t *testing.T) {
 	if standby.Stats().StreamsOpened == 0 {
 		t.Error("standby remote never served a stream")
 	}
-	if st := w.dom.Stats(); st.Endpoint != "fleet" {
-		t.Errorf("stats = %+v, want endpoint fleet", st)
+	if st := w.dom.Stats(); st.Streams != 1 {
+		t.Errorf("stats = %+v, want 1 stream opened", st)
 	}
 	for _, ep := range pool.Stats().Endpoints {
 		if ep.Name == "standby" && ep.StreamsOpened == 0 {
@@ -417,66 +438,117 @@ func TestAllDialsFailReturnsTypedError(t *testing.T) {
 	dead := func(name string) func() (net.Conn, error) {
 		return func() (net.Conn, error) { return nil, fmt.Errorf("%s unreachable", name) }
 	}
-	pool, _, err := w.dom.AssembleBorder(Border{
-		Remotes: []fleet.Endpoint{
-			{Name: "primary", Dial: dead("primary")},
-			{Name: "standby-1", Dial: dead("standby 1")},
-			{Name: "standby-2", Dial: dead("standby 2")},
-		},
-		Pool: fleet.Config{ProbeInterval: time.Hour, Seed: 7},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	w.border(t, fleet.Config{ProbeInterval: time.Hour, Seed: 7},
+		fleet.Endpoint{Name: "primary", Dial: dead("primary")},
+		fleet.Endpoint{Name: "standby-1", Dial: dead("standby 1")},
+		fleet.Endpoint{Name: "standby-2", Dial: dead("standby 2")})
 
-	_, err = w.dom.openSecure("203.0.113.10:7")
+	_, err := w.dom.openSecure("203.0.113.10:7")
 	if !errors.Is(err, ErrAllRemotesDown) {
 		t.Errorf("err = %v, want ErrAllRemotesDown", err)
 	}
 }
 
+// restartRemote models a remote VM restart: the listener and every
+// established carrier die, then the same Remote serves a fresh listener on
+// the same address. Nothing notifies the domestic proxy.
+func (w *coreWorld) restartRemote(t *testing.T, down time.Duration) {
+	t.Helper()
+	w.remote.Close()
+	w.env.Clock.Sleep(down)
+	ln, err := w.remoteH.Listen("tcp", ":8443")
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	w.n.Scheduler().Go(func() { w.remote.Serve(ln) })
+}
+
+// echoThroughProxy opens a CONNECT tunnel to the echo origin and checks
+// one round trip.
+func (w *coreWorld) echoThroughProxy(msg string) error {
+	conn, err := w.client.DialTCP("101.6.6.6:8118")
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	if err := connectThrough(conn, "203.0.113.10:7"); err != nil {
+		return err
+	}
+	conn.Write([]byte(msg))
+	got := make([]byte, len(msg))
+	_, err = io.ReadFull(conn, got)
+	return err
+}
+
 func TestDeadCachedSessionRedials(t *testing.T) {
 	w := newCoreWorld(t)
+	pool := w.border(t, fleet.Config{ProbeInterval: time.Hour}) // no prober: the request path must notice
 	w.run(t, func() error {
-		conn, err := w.client.DialTCP("101.6.6.6:8118")
-		if err != nil {
+		if err := w.echoThroughProxy("first"); err != nil {
 			return err
 		}
-		if err := connectThrough(conn, "203.0.113.10:7"); err != nil {
-			return err
-		}
-		conn.Close()
-
-		// The carrier dies underneath the proxy (remote restart, censor
+		// The carriers die underneath the proxy (remote restart, censor
 		// reset) without anyone calling Rotate.
-		w.dom.mu.Lock()
-		sess := w.dom.sess
-		w.dom.mu.Unlock()
-		if sess == nil {
-			return fmt.Errorf("no cached session after first request")
-		}
-		sess.Close()
+		w.restartRemote(t, time.Second)
 
-		// The next request must notice the dead session and re-dial.
-		conn2, err := w.client.DialTCP("101.6.6.6:8118")
-		if err != nil {
-			return err
-		}
-		defer conn2.Close()
-		if err := connectThrough(conn2, "203.0.113.10:7"); err != nil {
+		// The next request must notice the dead sessions and re-dial.
+		if err := w.echoThroughProxy("re-dialed"); err != nil {
 			return fmt.Errorf("proxy stuck on dead cached session: %w", err)
-		}
-		msg := []byte("re-dialed")
-		conn2.Write(msg)
-		got := make([]byte, len(msg))
-		if _, err := io.ReadFull(conn2, got); err != nil {
-			return err
 		}
 		return nil
 	})
-	if st := w.dom.Stats(); st.Endpoint != "primary" {
-		t.Errorf("endpoint = %q, want primary", st.Endpoint)
+	if st := w.dom.Stats(); st.Streams != 2 {
+		t.Errorf("domestic streams = %d, want 2", st.Streams)
+	}
+	if ep := pool.Stats().Endpoints[0]; ep.StreamsOpened != 2 || !ep.Healthy {
+		t.Errorf("endpoint = %+v, want 2 streams on a healthy endpoint", ep)
+	}
+}
+
+// TestOneMemberBorderReadmitsRestartedRemote: a single-remote deployment
+// is a one-member pool, so an outage must not strand it. While the remote
+// is down the prober ejects the endpoint and requests fail fast with the
+// typed error; once it is back, the re-admission probe restores it with no
+// operator action — what the deleted single-session path's reconnect
+// backoff gate used to provide.
+func TestOneMemberBorderReadmitsRestartedRemote(t *testing.T) {
+	w := newCoreWorld(t)
+	pool := w.border(t, fleet.Config{
+		ProbeInterval:  500 * time.Millisecond,
+		ProbeTimeout:   300 * time.Millisecond,
+		ReadmitBackoff: 2 * time.Second,
+	})
+	w.run(t, func() error {
+		if err := w.echoThroughProxy("before the outage"); err != nil {
+			return err
+		}
+		w.remote.Close()
+		w.env.Clock.Sleep(3 * time.Second) // > EjectAfter probe rounds
+		if ep := pool.Stats().Endpoints[0]; ep.Healthy || ep.Ejections == 0 {
+			t.Errorf("endpoint = %+v, want ejected while the remote is down", ep)
+		}
+		if _, err := w.dom.openSecure("203.0.113.10:7"); !errors.Is(err, ErrAllRemotesDown) {
+			t.Errorf("open during the outage: err = %v, want ErrAllRemotesDown", err)
+		}
+		w.restartRemote(t, 0)
+		w.env.Clock.Sleep(10 * time.Second) // > the grown re-admission backoff
+		if ep := pool.Stats().Endpoints[0]; !ep.Healthy {
+			t.Errorf("endpoint = %+v, want re-admitted after the remote came back", ep)
+		}
+		if err := w.echoThroughProxy("after the outage"); err != nil {
+			return fmt.Errorf("border did not recover: %w", err)
+		}
+		return nil
+	})
+}
+
+// TestNoBorderNoStream: a proxy without an assembled border has no way
+// across it.
+func TestNoBorderNoStream(t *testing.T) {
+	w := newCoreWorld(t)
+	if _, err := w.dom.openSecure("203.0.113.10:7"); !errors.Is(err, ErrAllRemotesDown) {
+		t.Errorf("err = %v, want ErrAllRemotesDown", err)
 	}
 }
 
@@ -502,33 +574,11 @@ func TestFleetDialPathThroughDomestic(t *testing.T) {
 	}
 	w.n.Scheduler().Go(func() { standby.Serve(sln) })
 
-	pool, _, err := w.dom.AssembleBorder(Border{
-		Remotes: []fleet.Endpoint{
-			{Name: "198.51.100.7:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") }},
-			{Name: "198.51.100.8:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.8:8443") }},
-		},
-		Pool: fleet.Config{ProbeInterval: 500 * time.Millisecond, Seed: 7},
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	pool := w.border(t, fleet.Config{ProbeInterval: 500 * time.Millisecond, Seed: 7},
+		fleet.Endpoint{Name: "198.51.100.7:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.7:8443") }},
+		fleet.Endpoint{Name: "198.51.100.8:8443", Dial: func() (net.Conn, error) { return w.domestic.DialTCP("198.51.100.8:8443") }})
 
-	visit := func() error {
-		conn, err := w.client.DialTCP("101.6.6.6:8118")
-		if err != nil {
-			return err
-		}
-		defer conn.Close()
-		if err := connectThrough(conn, "203.0.113.10:7"); err != nil {
-			return err
-		}
-		msg := []byte("via the fleet")
-		conn.Write(msg)
-		got := make([]byte, len(msg))
-		_, err = io.ReadFull(conn, got)
-		return err
-	}
+	visit := func() error { return w.echoThroughProxy("via the fleet") }
 	w.run(t, func() error {
 		w.env.Clock.Sleep(time.Second) // let the pool warm
 		for i := 0; i < 6; i++ {
@@ -546,8 +596,8 @@ func TestFleetDialPathThroughDomestic(t *testing.T) {
 		}
 		return nil
 	})
-	if st := w.dom.Stats(); st.Endpoint != "fleet" {
-		t.Errorf("endpoint = %q, want fleet", st.Endpoint)
+	if st := w.dom.Stats(); st.Streams != 12 {
+		t.Errorf("domestic streams = %d, want 12", st.Streams)
 	}
 	if standby.Stats().StreamsOpened < 6 {
 		t.Errorf("standby served %d streams, want >= 6", standby.Stats().StreamsOpened)

@@ -19,8 +19,8 @@ import (
 	"scholarcloud/internal/tlssim"
 )
 
-// ErrAllRemotesDown reports that no remote proxy — primary or fleet
-// endpoint — could carry a stream.
+// ErrAllRemotesDown reports that no remote proxy of the border pool could
+// carry a stream.
 var ErrAllRemotesDown = errors.New("core: all remote proxies are down")
 
 // Domestic is the proxy inside the censored network: the single endpoint
@@ -29,13 +29,10 @@ var ErrAllRemotesDown = errors.New("core: all remote proxies are down")
 // to the remote proxy.
 type Domestic struct {
 	Env netx.Env
-	// DialRemote opens a raw connection to the remote proxy across the
-	// border.
-	DialRemote func() (net.Conn, error)
-	// Fleet, if set, replaces the single cached tunnel with a managed pool
-	// of remote endpoints (see internal/fleet). DialRemote is ignored for
-	// tunnel traffic when Fleet is non-nil. Standby/fallback deployments
-	// are expressed as a fleet whose extra endpoints are the standbys.
+	// Fleet is the managed pool of remote endpoints (see internal/fleet)
+	// every tunnel stream is opened on — the proxy's only way across the
+	// border. AssembleBorder sets it; until then no stream can be opened.
+	// A single remote is a one-member pool, a standby a second endpoint.
 	Fleet *fleet.Pool
 	// Secret and Epoch must match the remote proxy's blinding
 	// configuration.
@@ -58,7 +55,7 @@ type Domestic struct {
 	// opaque CONNECT tunnels) so cacheable HTTPS traffic is visible to it.
 	Cache *cache.Cache
 	// Resil, if set, enables the client-path resilience layer (deadlines,
-	// reconnect backoff, hedged retry — see Resilience). Nil keeps the
+	// backed-off retries, hedged retry — see Resilience). Nil keeps the
 	// historical fail-fast behaviour.
 	Resil *Resilience
 	// GatewayFetch forces the proxy to answer gateway-mode absolute-URI
@@ -74,13 +71,7 @@ type Domestic struct {
 	// transport. Empty or nil keeps hedges transport-agnostic.
 	NextTransport func() string
 
-	mu        sync.Mutex
-	sess      *mux.Session
-	endpoint  string
-	dialing   bool      // a goroutine is establishing the session
-	dialCond  netx.Cond // wakes session() callers parked behind dialing
-	dialFails int       // consecutive single-remote dial failures
-	nextDial  time.Time // reconnect backoff gate (zero = none)
+	mu sync.Mutex // guards Epoch across Rotate and WrapCarrier
 
 	requests obs.Counter
 	refused  obs.Counter
@@ -101,22 +92,15 @@ type Domestic struct {
 type DomesticStats struct {
 	Requests int64
 	Refused  int64
-	// Endpoint labels the carrier the current tunnel was dialed through:
-	// "primary" or "fleet".
-	Endpoint string
 	// Streams counts tunnel streams opened on the user's behalf.
 	Streams int64
 }
 
 // Stats returns a snapshot of the domestic proxy's counters.
 func (d *Domestic) Stats() DomesticStats {
-	d.mu.Lock()
-	endpoint := d.endpoint
-	d.mu.Unlock()
 	return DomesticStats{
 		Requests: d.requests.Value(),
 		Refused:  d.refused.Value(),
-		Endpoint: endpoint,
 		Streams:  d.streams.Value(),
 	}
 }
@@ -145,21 +129,15 @@ func (d *Domestic) Instrument(reg *obs.Registry) {
 // span for every tunnel stream opened or refused by this proxy.
 func (d *Domestic) SetTrace(t *obs.Trace) { d.flowTrace.Store(t) }
 
-// Rotate switches the blinding epoch: the current tunnel is torn down
-// and the next stream re-dials with the new scheme. The remote proxy must
-// be rotated to the same epoch (the operator controls both ends, §3).
+// Rotate switches the blinding epoch. Old-epoch carriers cannot outlive
+// their scheme: the pool's pre-dialed sessions are recycled so they
+// re-wrap under the new one. The remote proxy must be rotated to the same
+// epoch (the operator controls both ends, §3).
 func (d *Domestic) Rotate(epoch uint64) {
 	d.mu.Lock()
 	d.Epoch = epoch
-	if d.sess != nil {
-		d.sess.Close()
-		d.sess = nil
-	}
-	pool := d.Fleet
 	d.mu.Unlock()
-	if pool != nil {
-		// Old-epoch carriers cannot outlive their scheme: recycle the
-		// fleet's pre-dialed sessions so they re-wrap under the new one.
+	if pool := d.Fleet; pool != nil {
 		pool.Recycle()
 	}
 }
@@ -180,118 +158,25 @@ func (d *Domestic) WrapCarrier(raw net.Conn) *mux.Session {
 	return sess
 }
 
-// session returns the live tunnel session, dialing a fresh blinded
-// carrier if needed. Used on the single-remote path (Fleet nil);
-// standby remotes are handled by configuring a fleet instead.
-func (d *Domestic) session() (*mux.Session, error) {
-	d.mu.Lock()
-	if d.dialCond == nil {
-		d.dialCond = d.Env.Sync.NewCond(&d.mu)
-	}
-	// The dial crosses the border, so it blocks in (virtual) time; d.mu
-	// must not be held across it — a second request parking on the bare
-	// mutex would stall the scheduler. Concurrent callers park on the
-	// scheduler-aware cond instead and re-check once the dialer finishes.
-	for d.dialing {
-		d.dialCond.Wait()
-	}
-	if d.sess != nil && d.sess.Err() == nil {
-		sess := d.sess
-		d.mu.Unlock()
-		return sess, nil
-	}
-	if d.Resil != nil {
-		if now := d.Env.Clock.Now(); now.Before(d.nextDial) {
-			wait := d.nextDial.Sub(now)
-			d.mu.Unlock()
-			return nil, fmt.Errorf("%w: reconnect backing off for %v", ErrAllRemotesDown, wait)
-		}
-	}
-	d.dialing = true
-	d.mu.Unlock()
-
-	var bound time.Duration // zero: the fail-fast proxy dials unbounded
-	if d.Resil != nil {
-		bound = d.Resil.withDefaults().DialTimeout
-	}
-	raw, err := netx.DialBounded(d.Env, bound, d.DialRemote)
-	if err == netx.ErrDialTimeout {
-		d.deadlineHits.Inc()
-		err = fmt.Errorf("core: dial remote: %w", errDialTimeout)
-	}
-
-	d.mu.Lock()
-	defer func() {
-		d.dialing = false
-		d.dialCond.Broadcast()
-		d.mu.Unlock()
-	}()
-	if err != nil {
-		if d.Resil != nil {
-			// Exponential reconnect backoff with deterministic jitter: the
-			// next dial is gated rather than hammered, so a downed remote
-			// costs one timed-out dial per backoff window, not per request.
-			r := d.Resil.withDefaults()
-			d.dialFails++
-			d.nextDial = d.Env.Clock.Now().Add(d.backoff(r, d.dialFails-1))
-		}
-		return nil, fmt.Errorf("%w: %v", ErrAllRemotesDown, err)
-	}
-	d.dialFails = 0
-	d.nextDial = time.Time{}
-	scheme := d.SchemeOverride
-	if scheme == nil {
-		scheme = blinding.SchemeForEpoch(d.Secret, d.Epoch)
-	}
-	d.sess = mux.NewSession(blinding.WrapConn(raw, scheme), d.Env, nil)
-	d.sess.SetCounters(d.muxCounters.Load())
-	d.endpoint = "primary"
-	return d.sess, nil
-}
-
-// openStream opens a tunnel stream carrying meta, via the fleet pool
-// when one is configured, else via the cached single session.
-func (d *Domestic) openStream(meta []byte) (net.Conn, error) {
-	return d.openStreamVia("", meta)
-}
-
-// openStreamVia is openStream pinned to a carrier transport: a non-empty
-// via restricts the fleet pick to endpoints on that escalation rung (the
-// transport-aware hedge path). The single-session path has one carrier
-// and ignores via.
+// openStreamVia opens a tunnel stream carrying meta on the border pool —
+// the proxy's one way across the border. A non-empty via restricts the
+// pool's pick to endpoints on that escalation rung (the transport-aware
+// hedge path).
 func (d *Domestic) openStreamVia(via string, meta []byte) (net.Conn, error) {
-	if pool := d.Fleet; pool != nil {
-		var st net.Conn
-		var err error
-		if via != "" {
-			st, err = pool.OpenOn(via, meta)
-		} else {
-			st, err = pool.Open(meta)
-		}
-		if err != nil {
-			var down *fleet.DownError
-			if errors.As(err, &down) {
-				return nil, fmt.Errorf("%w: %v", ErrAllRemotesDown, down.Last)
-			}
-			return nil, err
-		}
-		d.mu.Lock()
-		d.endpoint = "fleet"
-		d.mu.Unlock()
-		d.streams.Inc()
-		d.flowTrace.Load().Addf("core", "stream-open", "%s via fleet", meta)
-		return st, nil
+	pool := d.Fleet
+	if pool == nil {
+		return nil, fmt.Errorf("%w: no border assembled", ErrAllRemotesDown)
 	}
-	sess, err := d.session()
+	st, err := pool.OpenOn(via, meta)
 	if err != nil {
-		return nil, err
-	}
-	st, err := sess.Open(meta)
-	if err != nil {
+		var down *fleet.DownError
+		if errors.As(err, &down) {
+			return nil, fmt.Errorf("%w: %v", ErrAllRemotesDown, down.Last)
+		}
 		return nil, err
 	}
 	d.streams.Inc()
-	d.flowTrace.Load().Addf("core", "stream-open", "%s via primary", meta)
+	d.flowTrace.Load().Addf("core", "stream-open", "%s via fleet", meta)
 	return st, nil
 }
 

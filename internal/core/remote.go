@@ -8,11 +8,17 @@
 //
 // The browser's only configuration is a PAC URL served by the domestic
 // proxy; the PAC diverts just the visible whitelist of legal domains. The
-// domestic proxy (inside the censored network) maintains a persistent
-// multiplexed tunnel to the remote proxy (outside); the tunnel's carrier
-// is message-blinded, so the GFW's DPI sees no known protocol, and the
-// remote proxy drops unauthenticated peers instantly, so active probes
-// never confirm anything.
+// domestic proxy (inside the censored network) maintains persistent
+// multiplexed tunnels to the remote proxy (outside); each tunnel's
+// carrier is message-blinded, so the GFW's DPI sees no known protocol,
+// and the remote proxy drops unauthenticated peers instantly, so active
+// probes never confirm anything.
+//
+// There is one way across the border: AssembleBorder gives the domestic
+// proxy a fleet.Pool (Domestic.Fleet) and every tunnel stream is opened
+// on it. The paper's single remote is a one-member pool, a standby a
+// second member, a carrier ladder one member per rung; a proxy without
+// an assembled border cannot open a stream.
 //
 // Per the paper's "data security and privacy" design, already-encrypted
 // (HTTPS) browser traffic is carried with blinding only — it is not

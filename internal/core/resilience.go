@@ -11,8 +11,8 @@ import (
 )
 
 // Resilience tunes the domestic proxy's client-path fault tolerance:
-// per-dial and per-request deadlines, exponential reconnect backoff with
-// deterministic jitter, and hedged retry that re-issues a stalled
+// per-dial and per-request deadlines, exponentially backed-off retries
+// with deterministic jitter, and hedged retry that re-issues a stalled
 // in-flight fetch on a second carrier so one page load can survive a
 // mid-flight remote takedown. A nil *Resilience on Domestic disables the
 // whole layer — behaviour (and every deterministic figure) is then
@@ -26,8 +26,8 @@ type Resilience struct {
 	// through a long loss burst finishes instead of being cut off).
 	RequestTimeout time.Duration
 	// HedgeAfter is how long the first attempt may stall before the fetch
-	// is re-issued concurrently on a second carrier; first answer wins
-	// (default 2s; hedging needs a fleet to supply the second carrier).
+	// is re-issued concurrently on a second carrier of the pool; first
+	// answer wins (default 2s).
 	HedgeAfter time.Duration
 	// Retries is how many times a failed fetch is re-issued (default 4 —
 	// the summed backoff then spans a fleet ejection window, so retries
@@ -94,9 +94,6 @@ func (d *Domestic) backoff(r Resilience, k int) time.Duration {
 	return b/2 + time.Duration(frac*float64(b/2))
 }
 
-// errDialTimeout reports a remote dial that outlived its deadline.
-var errDialTimeout = errors.New("core: dial timed out")
-
 // fetchResilient is fetchOrigin under the resilience policy: the fetch is
 // issued with a read deadline; if it stalls past HedgeAfter a hedge
 // attempt races it on a second carrier (first answer wins); failed waves
@@ -145,35 +142,33 @@ func (d *Domestic) fetchResilient(u *httpsim.URL, req *httpsim.Request, header m
 	}
 	launch("")
 
-	if d.Fleet != nil {
-		hedgeTimer := clock.AfterFunc(r.HedgeAfter, func() {
-			mu.Lock()
-			fire := winner == nil && inflight > 0 && !hedged
-			if fire {
-				hedged = true
+	hedgeTimer := clock.AfterFunc(r.HedgeAfter, func() {
+		mu.Lock()
+		fire := winner == nil && inflight > 0 && !hedged
+		if fire {
+			hedged = true
+		}
+		mu.Unlock()
+		if fire {
+			d.hedges.Inc()
+			// With an escalation ladder wired in, a stalled attempt
+			// smells like the active transport being throttled or
+			// blocked: aim the hedge at the next rung so the race is
+			// between transports, not between two carriers of the same
+			// one.
+			via := ""
+			if d.NextTransport != nil {
+				via = d.NextTransport()
 			}
-			mu.Unlock()
-			if fire {
-				d.hedges.Inc()
-				// With an escalation ladder wired in, a stalled attempt
-				// smells like the active transport being throttled or
-				// blocked: aim the hedge at the next rung so the race is
-				// between transports, not between two carriers of the same
-				// one.
-				via := ""
-				if d.NextTransport != nil {
-					via = d.NextTransport()
-				}
-				if via != "" {
-					d.flowTrace.Load().Addf("core", "hedge", "%s re-issued via %s", u.HostPort(), via)
-				} else {
-					d.flowTrace.Load().Addf("core", "hedge", "%s re-issued on second carrier", u.HostPort())
-				}
-				launch(via)
+			if via != "" {
+				d.flowTrace.Load().Addf("core", "hedge", "%s re-issued via %s", u.HostPort(), via)
+			} else {
+				d.flowTrace.Load().Addf("core", "hedge", "%s re-issued on second carrier", u.HostPort())
 			}
-		})
-		defer hedgeTimer.Stop()
-	}
+			launch(via)
+		}
+	})
+	defer hedgeTimer.Stop()
 	// Wake the waiter when the end-to-end deadline lands even if every
 	// attempt is still stalled.
 	wake := clock.AfterFunc(r.RequestTimeout, func() {

@@ -51,6 +51,8 @@ func TestAutoscaleFlashCrowdWalksFrontier(t *testing.T) {
 		t.Errorf("autoscaled $/user = %.4f, want strictly below the static-%d tier's %.4f",
 			scaled.PerUserUSD, autoscaleShards, static.PerUserUSD)
 	}
+	// Link bytes include every active shard's pool probes, so the tier
+	// pays a few percent over the single proxy before any refetch.
 	if limit := int64(1.1 * float64(single.BorderBytes)); scaled.BorderBytes > limit {
 		t.Errorf("autoscaled border bytes = %d, want <= 1.1x the single-proxy %d",
 			scaled.BorderBytes, single.BorderBytes)
@@ -59,8 +61,10 @@ func TestAutoscaleFlashCrowdWalksFrontier(t *testing.T) {
 
 // TestAdmitShardPreseedsWithoutBorderStampede checks the warm-up
 // contract: a standby joining the ring pulls every key it is about to
-// own from the current owners over the sibling path, and the border
-// link carries zero bytes for it.
+// own from the current owners over the sibling path: no cache fetch and
+// no tunnel stream crosses the border for it. (Raw link bytes are the
+// wrong witness — every shard's pool health-probes its remote across the
+// same link.)
 func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 	w := NewWorld(Config{
 		Seed:               11,
@@ -83,7 +87,7 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	borderBefore := w.Border.Stats().Bytes
+	before := w.Obs.Snapshot()
 	var preseeded int
 	if err := w.Run(func() error {
 		preseeded = w.Tier.Admit(2)
@@ -94,8 +98,14 @@ func TestAdmitShardPreseedsWithoutBorderStampede(t *testing.T) {
 	if preseeded == 0 {
 		t.Fatal("warm-up pre-seeded no keys")
 	}
-	if delta := w.Border.Stats().Bytes - borderBefore; delta != 0 {
-		t.Errorf("warm-up moved %d bytes across the border, want 0", delta)
+	delta := w.Obs.Snapshot().Sub(before)
+	for _, name := range []string{"cache.border_fetches", "core.domestic.streams"} {
+		if n := delta.Counters[name]; n != 0 {
+			t.Errorf("warm-up moved %s by %d, want 0: pre-seeding must stay on the sibling path", name, n)
+		}
+	}
+	if n := delta.Counters["cache.sibling_fetches"]; n == 0 {
+		t.Error("warm-up recorded no sibling fetches")
 	}
 	if got := len(w.Tier.Ring().Up()); got != 3 {
 		t.Errorf("active shards after admit = %d, want 3", got)

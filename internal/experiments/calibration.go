@@ -158,8 +158,10 @@ func fleetRemoteIP(i int) string {
 	return fmt.Sprintf("%s%d", fleetRemoteIPBase2, i-28)
 }
 
-// Fleet control-plane cadence (Config.FleetRemotes > 0). Probes ride the
-// existing carriers, so a tight cadence costs one tiny frame exchange;
+// Fleet control-plane cadence of every plain border pool — the paper's
+// single remote included (a one-member pool). Probes ride the existing
+// carriers, so a tight cadence costs one tiny frame exchange (a few
+// percent of a cacheless sweep's border bytes, see EXPERIMENTS.md);
 // the numbers bound how long a silent takedown can go unnoticed:
 // detection takes at most 2 probe rounds (EjectAfter is the fleet
 // default of 2), i.e. ~2*fleetProbeInterval.

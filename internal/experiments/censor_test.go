@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,6 +20,15 @@ func censorWorld(seed uint64, profile string) *World {
 	})
 }
 
+// acrossCensorSeeds runs an acceptance gate on three consecutive seeds:
+// the censor is itself inconsistent, so a survival claim that holds for
+// seed 2017 alone is not one.
+func acrossCensorSeeds(t *testing.T, gate func(t *testing.T, seed uint64)) {
+	for seed := uint64(2017); seed < 2020; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { gate(t, seed) })
+	}
+}
+
 func timelineHas(tl []censor.Event, kind string) bool {
 	for _, e := range tl {
 		if e.Kind == kind {
@@ -33,8 +43,10 @@ func timelineHas(tl []censor.Event, kind string) bool {
 // controller — all of them escalating to active probing and
 // fingerprint blocking under the cohort's own traffic — the carrier
 // ladder still completes at least 99% of page loads.
-func TestAdaptiveCensorSurvival(t *testing.T) {
-	w := censorWorld(2017, "adaptive")
+func TestAdaptiveCensorSurvival(t *testing.T) { acrossCensorSeeds(t, testAdaptiveCensorSurvival) }
+
+func testAdaptiveCensorSurvival(t *testing.T, seed uint64) {
+	w := censorWorld(seed, "adaptive")
 	defer w.Close()
 	p, err := w.MeasureCensorship(censorClients, 10)
 	if err != nil {
@@ -62,8 +74,10 @@ func TestAdaptiveCensorSurvival(t *testing.T) {
 // never rotate transports and keep their mean PLT under 2x the clean
 // baseline (the cohort's own fastest load); inland clients live
 // through the full crackdown.
-func TestRegionalInconsistency(t *testing.T) {
-	w := censorWorld(2017, "regional")
+func TestRegionalInconsistency(t *testing.T) { acrossCensorSeeds(t, testRegionalInconsistency) }
+
+func testRegionalInconsistency(t *testing.T, seed uint64) {
+	w := censorWorld(seed, "regional")
 	defer w.Close()
 	p, err := w.MeasureCensorship(censorClients, 10)
 	if err != nil {

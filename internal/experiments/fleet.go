@@ -5,9 +5,8 @@ package experiments
 // internal/fleet pool of remote proxies. Two questions:
 //
 //  1. Capacity — does adding remotes buy page-load time at high client
-//     concurrency? (Under continuous browsing the legacy deployment's
-//     lone blinded carrier is the bottleneck: every user's streams share
-//     one TCP connection, and its queue diverges past ~120 clients.)
+//     concurrency? (Under continuous browsing the paper's single remote
+//     is the bottleneck: every user's streams share its carrier pool.)
 //  2. Resilience — when a remote is seized mid-sweep (its listener and
 //     carriers die without notice), do users see failures beyond the
 //     prober's detection window?
@@ -22,16 +21,15 @@ import (
 // fleetStressInterval is the fleet sweep's visit cadence. Fig. 7's 60 s
 // think time leaves the remote side a few percent utilized even at 120
 // clients (the paper's scalability claim), so pool capacity only shows
-// at a heavier cadence: at 20 s per visit the legacy deployment's lone
-// blinded carrier saturates near 120 clients (head-of-line queueing
-// across every user's streams), and past that each remote's carrier
-// pool becomes the limit, so added remotes lower PLT.
+// at a heavier cadence: at 20 s per visit a single remote's carrier pool
+// (head-of-line queueing across every user's streams) is the limit past
+// 120 clients, so added remotes lower PLT.
 const fleetStressInterval = 20 * time.Second
 
 // MeasureFleetScalability sweeps ScholarCloud under continuous browsing
-// (every client revisits as soon as the cadence allows). Unlike
-// MeasureFleetTakedown it runs on fleet-less worlds too, giving the
-// single-remote baseline the fleet rows are compared against.
+// (every client revisits as soon as the cadence allows). The one-remote
+// world — the paper's deployment — is the baseline the larger pools are
+// compared against.
 func (w *World) MeasureFleetScalability(n, rounds int) (*ScalabilityPoint, error) {
 	return w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, fleetStressInterval, false)
 }
@@ -60,10 +58,11 @@ type FleetTakedownResult struct {
 
 // MeasureFleetTakedown runs n concurrent ScholarCloud clients for
 // `rounds` visits each and seizes fleet remote `victim` at killAt.
-// The world must have been built with Cfg.FleetRemotes >= 2.
+// The world must have been built with Cfg.FleetRemotes >= 2: the sweep
+// measures rotation onto the survivors.
 func (w *World) MeasureFleetTakedown(n, rounds, victim int, killAt time.Duration) (*FleetTakedownResult, error) {
-	if w.Fleet == nil {
-		return nil, fmt.Errorf("experiments: world has no fleet (Config.FleetRemotes is 0)")
+	if w.Cfg.FleetRemotes < 2 {
+		return nil, fmt.Errorf("experiments: a takedown needs a surviving remote (Config.FleetRemotes is %d, want >= 2)", w.Cfg.FleetRemotes)
 	}
 	res := &FleetTakedownResult{
 		Remotes: w.Cfg.FleetRemotes,

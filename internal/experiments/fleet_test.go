@@ -1,9 +1,37 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
+
+// TestOneRemoteIsTheDefaultWorld: the paper's single-remote deployment is
+// a one-member pool, so FleetRemotes 0 and 1 must be the same world — same
+// page-load times and the same settled metrics, not merely similar ones.
+func TestOneRemoteIsTheDefaultWorld(t *testing.T) {
+	render := func(cfg Config) string {
+		w := newTestWorld(t, cfg)
+		p, err := w.MeasureScalability(w.ScholarCloudFactory(), 6, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := w.SnapshotSettled()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%+v\n", *p)
+		if err := snap.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	if zero, one := render(Config{}), render(Config{FleetRemotes: 1}); zero != one {
+		t.Errorf("Config{} and Config{FleetRemotes: 1} diverge:\n--- FleetRemotes 0\n%s\n--- FleetRemotes 1\n%s", zero, one)
+	}
+}
 
 func TestFleetWorldServesScholar(t *testing.T) {
 	w := newTestWorld(t, Config{FleetRemotes: 2})
@@ -11,12 +39,13 @@ func TestFleetWorldServesScholar(t *testing.T) {
 	if st.Failed {
 		t.Fatalf("fleet-backed ScholarCloud visit failed: %v", st.Err)
 	}
-	if ep := w.Domestic.Stats().Endpoint; ep != "fleet" {
-		t.Errorf("domestic endpoint = %q, want fleet", ep)
-	}
 	fs := w.Fleet.Stats()
 	if len(fs.Endpoints) != 2 || fs.Healthy() != 2 {
 		t.Errorf("fleet stats = %+v", fs)
+	}
+	// Every stream the proxy opened was a pool pick.
+	if streams := w.Domestic.Stats().Streams; streams == 0 || streams != fs.Picks {
+		t.Errorf("domestic streams = %d, pool picks = %d, want equal and non-zero", streams, fs.Picks)
 	}
 }
 
@@ -50,9 +79,11 @@ func TestFleetTakedownUnderLoad(t *testing.T) {
 }
 
 func TestFleetTakedownRequiresFleet(t *testing.T) {
-	w := newTestWorld(t, Config{})
-	if _, err := w.MeasureFleetTakedown(1, 1, 0, time.Second); err == nil {
-		t.Fatal("takedown measurement ran without a fleet")
+	for _, remotes := range []int{0, 1} {
+		w := newTestWorld(t, Config{FleetRemotes: remotes})
+		if _, err := w.MeasureFleetTakedown(1, 1, 0, time.Second); err == nil {
+			t.Fatalf("takedown measurement ran with FleetRemotes=%d: no remote would survive", remotes)
+		}
 	}
 }
 

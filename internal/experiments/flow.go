@@ -97,14 +97,6 @@ func (w *World) flowRemoteHosts() []*netsim.Host {
 	return append(hosts, w.fleetRemoteHosts...)
 }
 
-// flowDomesticHosts is the domestic-proxy CPU tier.
-func (w *World) flowDomesticHosts() []*netsim.Host {
-	if len(w.ShardHosts) > 0 {
-		return w.ShardHosts
-	}
-	return []*netsim.Host{w.SCDomestic}
-}
-
 func sumCPUBusy(hosts []*netsim.Host) time.Duration {
 	var total time.Duration
 	for _, h := range hosts {
@@ -122,7 +114,7 @@ func borderDelta(before, after netsim.LinkStats) (up, down int64) {
 // non-nil, records the border-byte and tier-CPU deltas of each visit.
 // Must run inside a Run window.
 func (w *World) flowVisitPair(f Factory, h *netsim.Host, d *FlowDemand) error {
-	remote, domestic := w.flowRemoteHosts(), w.flowDomesticHosts()
+	remote, domestic := w.flowRemoteHosts(), w.ShardHosts
 	method := f.New(h)
 	defer method.Close()
 	if err := prepare(method); err != nil {
@@ -203,7 +195,7 @@ func (w *World) MeasureFlowScalability(f Factory, n, rounds, sampled int) (*Flow
 	// serving tiers.
 	m := n - sampled
 	lambda := float64(m) / visitInterval.Seconds()
-	remote, domestic := w.flowRemoteHosts(), w.flowDomesticHosts()
+	remote, domestic := w.flowRemoteHosts(), w.ShardHosts
 	upBps, downBps := 0.0, 0.0
 	if m > 0 {
 		avgUp, avgDown := point.Demand.avgBytes(rounds)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"scholarcloud/internal/httpsim"
 )
@@ -71,15 +70,17 @@ func TestShardedTierFetchesSharedObjectOnceAcrossBorder(t *testing.T) {
 			t.Errorf("sibling errors = %d, want 0", st.SiblingErrors)
 		}
 
-		// Let upstream teardown finish so it cannot leak into the second
-		// wave's border measurement.
-		w.Env.Clock.Sleep(5 * time.Second)
-		before := w.Border.Stats()
+		// Streams, not link bytes: every shard's pool health-probes its
+		// remote across the same link.
+		before := borderStreams(w)
 		if err := fetchFromEveryShard(); err != nil {
 			return err
 		}
-		if after := w.Border.Stats(); after != before {
-			t.Errorf("second wave crossed the border: %+v -> %+v", before, after)
+		if after := borderStreams(w); after != before {
+			t.Errorf("second wave crossed the border: %d -> %d tunnel streams", before, after)
+		}
+		if st := w.tierCacheStats(); st.BorderFetches != 1 {
+			t.Errorf("border fetches after the second wave = %d, want still 1", st.BorderFetches)
 		}
 		if st := w.tierCacheStats(); st.Hits < shards {
 			t.Errorf("second wave hits = %d, want >= %d (every shard serves locally)", st.Hits, shards)
@@ -157,9 +158,15 @@ func TestShardsSweepBorderParity(t *testing.T) {
 	if one.Failed > 0 || four.Failed > 0 {
 		t.Fatalf("failures: one=%d four=%d", one.Failed, four.Failed)
 	}
+	// Link bytes include four pools' health probes against one; the
+	// fetch count is the peering claim itself.
 	if limit := float64(one.BorderBytes) * 1.1; float64(four.BorderBytes) > limit {
 		t.Errorf("4-shard border bytes %d exceed 1.1x the 1-shard baseline %d",
 			four.BorderBytes, one.BorderBytes)
+	}
+	if limit := float64(one.BorderFetches) * 1.1; float64(four.BorderFetches) > limit {
+		t.Errorf("4-shard border fetches %d exceed 1.1x the 1-shard baseline %d",
+			four.BorderFetches, one.BorderFetches)
 	}
 	if four.SiblingFetches == 0 {
 		t.Error("4-shard sweep recorded no sibling fetches")

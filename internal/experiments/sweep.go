@@ -671,32 +671,13 @@ func opsPlan(q Quality) figurePlan {
 }
 
 // fleetPlan renders the fleet-scalability experiment: a Fig. 7-style
-// PLT-vs-clients sweep at 1/2/4 fleet remotes with the legacy
-// single-session path as baseline, one world per (load, remotes) point,
-// plus the takedown run.
+// PLT-vs-clients sweep at 1/2/4 remotes (one remote is the paper's
+// deployment), one world per (load, remotes) point, plus the takedown run.
 func fleetPlan(q Quality) figurePlan {
 	const clients = 120
-	label := func(remotes int) string {
-		if remotes == 0 {
-			return "single (legacy)"
-		}
-		return fmt.Sprintf("fleet, %d remote(s)", remotes)
-	}
 	var cells []cell
 	for _, load := range []int{clients, 2 * clients, 4 * clients} {
-		for _, remotes := range []int{0, 1, 2, 4} {
-			if remotes == 0 && load > clients {
-				// Measured once, not per sweep: the lone carrier's queue
-				// diverges and the run only ends at the wall-clock guard.
-				cells = append(cells, cell{
-					Label: fmt.Sprintf("single n=%d", load),
-					Run: func(uint64) (cellResult, error) {
-						return cellResult{Row: fmt.Sprintf("  %-10d %-18s %s\n", load, label(0),
-							"(does not complete: single-carrier queue diverges)")}, nil
-					},
-				})
-				continue
-			}
+		for _, remotes := range []int{1, 2, 4} {
 			cells = append(cells, worldCell(fmt.Sprintf("remotes=%d n=%d", remotes, load), 100+load,
 				Config{FleetRemotes: remotes}, func(w *World) (cellResult, error) {
 					p, err := w.MeasureFleetScalability(load, q.ScaleRounds)
@@ -704,7 +685,8 @@ func fleetPlan(q Quality) figurePlan {
 						return cellResult{}, err
 					}
 					return cellResult{
-						Row: fmt.Sprintf("  %-10d %-18s %-10s %-10s %-8d %d\n", load, label(remotes),
+						Row: fmt.Sprintf("  %-10d %-18s %-10s %-10s %-8d %d\n", load,
+							fmt.Sprintf("fleet, %d remote(s)", remotes),
 							obs.FormatSeconds(p.PLT.Mean), obs.FormatSeconds(p.PLT.P95),
 							p.Failed, p.PLT.N),
 						Values: []namedValue{{Name: "plt", Value: p.PLT.Mean, Unit: "s"}},

@@ -48,11 +48,12 @@ type Config struct {
 	// DisableServerCosts zeroes the per-request server CPU model (used
 	// by unit tests that only care about protocol correctness).
 	DisableServerCosts bool
-	// FleetRemotes, when > 0, runs ScholarCloud's domestic proxy against a
-	// fleet of that many remote proxies managed by internal/fleet (health
-	// probing, load balancing, takedown-aware rotation). Zero keeps the
-	// paper's single-remote deployment; either way the world stays
-	// deterministic (probe timers only fire inside Run windows).
+	// FleetRemotes is how many remote proxies the domestic proxy's
+	// internal/fleet pool manages (health probing, load balancing,
+	// takedown-aware rotation). Zero and one are the same world: the
+	// paper's single remote as a one-member pool. The world stays
+	// deterministic either way (probe timers only fire inside Run
+	// windows).
 	FleetRemotes int
 	// FleetSessionsPerRemote sizes each remote's pre-dialed carrier pool
 	// (zero selects the fleet package default).
@@ -83,15 +84,13 @@ type Config struct {
 	// behaviour is the resilience-off baseline the faults figure measures
 	// against.
 	Resilience bool
-	// Transports, when non-empty, replaces the domestic proxy's
-	// single-carrier dial path with an escalation ladder
-	// (internal/carrier) over the named transports, in ladder order —
-	// fastest and most blockable first. Valid names are carrier.Blinded,
-	// carrier.Rendezvous, and carrier.DNSTunnel; each gets its own cover
-	// infrastructure in the US zone and a transport-labeled fleet
-	// endpoint. Mutually exclusive with FleetRemotes. Empty keeps the
-	// paper's single blinded carrier — and every historical figure —
-	// byte-identical.
+	// Transports, when non-empty, replaces the domestic proxy's plain
+	// remote pool with an escalation ladder (internal/carrier) over the
+	// named transports, in ladder order — fastest and most blockable
+	// first. Valid names are carrier.Blinded, carrier.Rendezvous, and
+	// carrier.DNSTunnel; each gets its own cover infrastructure in the US
+	// zone and a transport-labeled fleet endpoint. Mutually exclusive
+	// with FleetRemotes. Empty keeps the paper's single blinded transport.
 	Transports []string
 	// Shards, when > 1, runs the domestic tier as that many proxy shards
 	// (shard 0 on the classic SCDomestic host, the rest on their own
@@ -186,9 +185,10 @@ type World struct {
 	// Cfg.CacheMB > 0 (nil otherwise).
 	Cache *cache.Cache
 
-	// Fleet is the remote-proxy pool when Cfg.FleetRemotes > 0 (nil
-	// otherwise). FleetRemoteProxies holds the extra remotes beyond the
-	// primary, indexed 1..FleetRemotes-1 by their takedown index.
+	// Fleet is the classic proxy's remote pool (Domestic.Fleet: one
+	// member per fleet remote, or one per ladder rung). FleetRemoteProxies
+	// holds the extra remotes beyond the primary, indexed
+	// 1..FleetRemotes-1 by their takedown index.
 	Fleet              *fleet.Pool
 	FleetRemoteProxies []*core.Remote
 	fleetRemoteHosts   []*netsim.Host
@@ -204,11 +204,13 @@ type World struct {
 	RendezvousCarrier *carrier.RendezvousPool
 	gatewayIPs        []string
 
-	// Shard tier state when Cfg.Shards > 1 (nil/empty otherwise). Index i
-	// is shard i: ShardHosts[0] == SCDomestic, ShardDomestics[0] ==
-	// Domestic, ShardCaches[0] == Cache. ShardAddrs are the proxy
-	// "ip:port" endpoints — the shard names the Ring hashes over and the
-	// PAC file renders.
+	// The domestic tier, index i is shard i; the paper's single proxy is
+	// a one-shard tier (ShardHosts[0] == SCDomestic, ShardDomestics[0] ==
+	// Domestic, ShardCaches[0] == Cache, nil without CacheMB). Censor
+	// worlds have no classic tier — every Region runs its own proxy — so
+	// these, Domestic, Cache and Fleet are empty there. ShardAddrs, set
+	// when Cfg.Shards > 1, are the proxy "ip:port" endpoints — the shard
+	// names the Ring hashes over and the PAC file renders.
 	ShardHosts     []*netsim.Host
 	ShardDomestics []*core.Domestic
 	ShardCaches    []*cache.Cache
@@ -491,13 +493,13 @@ func (w *World) installTrace(t *obs.Trace) {
 	if w.GFW != nil {
 		w.GFW.SetTrace(t)
 	}
-	w.Domestic.SetTrace(t)
+	for _, d := range w.ShardDomestics {
+		d.SetTrace(t)
+		d.Fleet.SetTrace(t)
+	}
 	w.Remote.SetTrace(t)
 	for _, r := range w.FleetRemoteProxies {
 		r.SetTrace(t)
-	}
-	if w.Fleet != nil {
-		w.Fleet.SetTrace(t)
 	}
 	w.Faults.SetTrace(t)
 }

@@ -79,11 +79,15 @@ func (w *World) startScholarCloud() {
 
 	w.Remote = w.startRemote(w.SCRemoteHost)
 
-	shards := w.Cfg.Shards
-	if shards < 1 {
-		shards = 1
+	if w.Cfg.Censor != nil {
+		// Every region runs its own proxy and border. A classic proxy
+		// would serve no client here, yet its pool's probes would load the
+		// remote the regions share.
+		w.startCensorRegions()
+		return
 	}
-	for i := 0; i < shards; i++ {
+
+	for i := 0; i < max(w.Cfg.Shards, 1); i++ {
 		w.startDomesticShard(i)
 	}
 
@@ -96,12 +100,8 @@ func (w *World) startScholarCloud() {
 		panic("experiments: Transports and FleetRemotes are mutually exclusive")
 	case len(w.Cfg.Transports) > 0:
 		w.startTransports()
-	case w.Cfg.FleetRemotes > 0:
+	default:
 		w.startFleet()
-	}
-
-	if w.Cfg.Censor != nil {
-		w.startCensorRegions()
 	}
 }
 
@@ -144,8 +144,8 @@ func (w *World) ShardAddr(i int) string {
 // startDomesticShard builds domestic shard i: its own host (shard 0 is
 // the classic SCDomestic), Domestic proxy, content cache, and proxy
 // listener. Shard 0 also serves the PAC file and stays reachable as
-// w.Domestic/w.Cache, so single-shard worlds are exactly the historical
-// deployment.
+// w.Domestic/w.Cache; the paper's single proxy is a one-shard tier. The
+// border hop is assembled afterwards (startFleet or startTransports).
 func (w *World) startDomesticShard(i int) {
 	host := w.SCDomestic
 	if i > 0 {
@@ -153,10 +153,7 @@ func (w *World) startDomesticShard(i int) {
 			fmt.Sprintf("%s%d", shardIPBase, 10+i), w.CNNet, accessLink())
 	}
 	d := &core.Domestic{
-		Env: w.Env,
-		DialRemote: func() (net.Conn, error) {
-			return host.DialTCP(fmt.Sprintf("%s:%d", ipSCRemote, portSCRemote))
-		},
+		Env:          w.Env,
 		Secret:       w.scSecret,
 		Epoch:        w.Cfg.BlindingEpoch,
 		Whitelist:    w.Whitelist,
@@ -209,11 +206,11 @@ func (w *World) startDomesticShard(i int) {
 		w.Env.Spawn.Go(func() { pacSrv.Serve(lnPAC) })
 	}
 
+	w.ShardHosts = append(w.ShardHosts, host)
+	w.ShardDomestics = append(w.ShardDomestics, d)
+	w.ShardCaches = append(w.ShardCaches, cc)
+	w.shardProxies = append(w.shardProxies, proxy)
 	if w.Cfg.Shards > 1 {
-		w.ShardHosts = append(w.ShardHosts, host)
-		w.ShardDomestics = append(w.ShardDomestics, d)
-		w.ShardCaches = append(w.ShardCaches, cc)
-		w.shardProxies = append(w.shardProxies, proxy)
 		// Per-shard visibility: the shared cache.* counters sum across the
 		// tier; these gauges break hits, sibling fetches, and border
 		// fetches out per shard.
@@ -432,13 +429,15 @@ func (w *World) startDNSTunnel(wrap carrier.WrapFunc) carrier.Transport {
 	return tun
 }
 
-// startFleet stands up the extra remote proxies and hands the domestic
-// proxy a managed pool over all of them (endpoint 0 is the primary
-// remote already started by startScholarCloud).
+// startFleet stands up the extra remote proxies (endpoint 0 is the
+// primary remote already started by startScholarCloud; FleetRemotes 0 and
+// 1 are both the primary alone) and assembles every domestic shard's
+// border over all of them — a managed pool dialed from the shard's own
+// host.
 func (w *World) startFleet() {
 	w.fleetNameByIP = make(map[string]string)
-	var eps []fleet.Endpoint
-	for i := 0; i < w.Cfg.FleetRemotes; i++ {
+	var addrs []string
+	for i := 0; i < max(w.Cfg.FleetRemotes, 1); i++ {
 		ip, addr := ipSCRemote, w.FleetRemoteAddr(i)
 		if i > 0 {
 			ip = fleetRemoteIP(i)
@@ -447,29 +446,40 @@ func (w *World) startFleet() {
 			w.FleetRemoteProxies = append(w.FleetRemoteProxies, w.startRemote(host))
 		}
 		w.fleetNameByIP[ip] = addr
-		eps = append(eps, fleet.Endpoint{
-			Name: addr,
-			Dial: func() (net.Conn, error) { return w.SCDomestic.DialTCP(addr) },
-		})
+		addrs = append(addrs, addr)
 	}
 
-	// Dials are bounded iff Cfg.Resilience gave the proxy a policy (a dead
-	// remote's SYNs otherwise stall the dialer for the full TCP
-	// handshake-retry schedule); the assembly owns that rule.
-	pool, _, err := w.Domestic.AssembleBorder(core.Border{
-		Remotes: eps,
-		Pool: fleet.Config{
-			SessionsPerRemote: w.Cfg.FleetSessionsPerRemote,
-			ProbeInterval:     fleetProbeInterval,
-			ProbeTimeout:      fleetProbeTimeout,
-			ReadmitBackoff:    fleetReadmitBackoff,
-			Seed:              w.Cfg.Seed ^ 0xF1EE7,
-		},
-	}, w.Obs)
-	if err != nil {
-		panic(err)
+	for i, d := range w.ShardDomestics {
+		host := w.ShardHosts[i]
+		var eps []fleet.Endpoint
+		for _, addr := range addrs {
+			eps = append(eps, fleet.Endpoint{
+				Name: addr,
+				Dial: func() (net.Conn, error) { return host.DialTCP(addr) },
+			})
+		}
+		// Dials are bounded iff Cfg.Resilience gave the proxy a policy (a
+		// dead remote's SYNs otherwise stall the dialer for the full TCP
+		// handshake-retry schedule); the assembly owns that rule. The
+		// shards' pools sum under the shared fleet.* names, as their
+		// core.domestic.* counters do.
+		pool, _, err := d.AssembleBorder(core.Border{
+			Remotes: eps,
+			Pool: fleet.Config{
+				SessionsPerRemote: w.Cfg.FleetSessionsPerRemote,
+				ProbeInterval:     fleetProbeInterval,
+				ProbeTimeout:      fleetProbeTimeout,
+				ReadmitBackoff:    fleetReadmitBackoff,
+				Seed:              w.Cfg.Seed ^ 0xF1EE7 ^ uint64(i)<<40,
+			},
+		}, w.Obs)
+		if err != nil {
+			panic(err)
+		}
+		if i == 0 {
+			w.Fleet = pool
+		}
 	}
-	w.Fleet = pool
 }
 
 // FleetRemoteAddr returns fleet endpoint i's name ("ip:port").
@@ -520,11 +530,11 @@ func (w *World) registerScholarCloud() {
 			w.GFW.Apply(gfw.Policy{BlockIPs: []string{ip}})
 		}
 		// An enforcement block against a fleet remote rotates traffic off
-		// it immediately instead of leaving the pool to discover 15-second
+		// it immediately instead of leaving the pools to discover 15-second
 		// blackhole hangs.
-		if w.Fleet != nil {
-			if name, ok := w.fleetNameByIP[ip]; ok {
-				w.Fleet.MarkDown(name, "enforcement block of "+ip)
+		if name, ok := w.fleetNameByIP[ip]; ok {
+			for _, d := range w.ShardDomestics {
+				d.Fleet.MarkDown(name, "enforcement block of "+ip)
 			}
 		}
 	})
@@ -559,18 +569,16 @@ func (w *World) registerScholarCloud() {
 }
 
 // RotateBlinding rotates ScholarCloud's blinding scheme on both proxies —
-// the paper's agility claim. With a fleet, every remote rotates and the
-// pool's pre-dialed carriers are recycled under the new scheme.
+// the paper's agility claim. Every remote and every domestic shard
+// rotates, and each pool's pre-dialed carriers are recycled under the new
+// scheme.
 func (w *World) RotateBlinding(epoch uint64) {
 	w.Remote.SetEpoch(epoch)
 	for _, r := range w.FleetRemoteProxies {
 		r.SetEpoch(epoch)
 	}
-	w.Domestic.Rotate(epoch)
-	for i, d := range w.ShardDomestics {
-		if i > 0 { // shard 0 is w.Domestic, already rotated
-			d.Rotate(epoch)
-		}
+	for _, d := range w.ShardDomestics {
+		d.Rotate(epoch)
 	}
 }
 

@@ -23,6 +23,17 @@ func newTestWorld(t *testing.T, cfg Config) *World {
 	return w
 }
 
+// borderStreams counts the tunnel streams the world's domestic shards
+// have opened across the border — what a cache hit or a sibling transfer
+// must not add to. Raw link counters would also see the border pools'
+// health probes.
+func borderStreams(w *World) (n int64) {
+	for _, d := range w.ShardDomestics {
+		n += d.Stats().Streams
+	}
+	return n
+}
+
 func visitOnce(t *testing.T, w *World, m tunnel.Method, url string) *httpsim.VisitStats {
 	t.Helper()
 	var stats *httpsim.VisitStats

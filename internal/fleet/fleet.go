@@ -3,10 +3,13 @@
 // blinded carrier sessions, continuously health-probed, and picks a
 // carrier per stream with a load- and health-aware policy.
 //
-// The paper's deployment ran two VMs with a manual standby (reproduced
-// here as a degenerate two-member fleet: the standby is just a second
-// endpoint the pick policy fails over to). A
-// production-scale ScholarCloud instead needs what CensorLess-style
+// A Pool is a domestic proxy's only path across the border (core's
+// AssembleBorder builds it), so every deployment is some pool: the
+// paper's single remote is a one-member pool — probed, ejected and
+// re-admitted like any other — and its two VMs with a manual standby a
+// two-member one (the standby is just a second endpoint the pick policy
+// fails over to). A production-scale ScholarCloud needs what
+// CensorLess-style
 // systems demonstrate — capacity from fanning out across many cheap,
 // rotatable endpoints — and what ICLab measures — blocking that shifts
 // over space and time, so per-remote health must be observed

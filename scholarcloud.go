@@ -46,12 +46,13 @@ type Simulation struct {
 	censorStage string
 }
 
-// FleetOptions backs ScholarCloud's domestic proxy with a managed pool of
-// remote proxies (health-probed, load-balanced, takedown-rotated) instead
-// of the paper's single remote.
+// FleetOptions sizes the managed pool of remote proxies (health-probed,
+// load-balanced, takedown-rotated) behind ScholarCloud's domestic proxy.
+// Every world runs one: without a Fleet block it holds the paper's single
+// remote.
 type FleetOptions struct {
 	// Remotes is the pool size. Endpoint 0 is the paper's primary remote;
-	// the rest are extra VMs.
+	// the rest are extra VMs. Zero and one are the same world.
 	Remotes int
 	// SessionsPerRemote sizes each remote's pre-dialed carrier pool (zero
 	// selects the fleet package default).
@@ -70,7 +71,7 @@ func (f *FleetOptions) Validate() error {
 		return fmt.Errorf("scholarcloud: FleetOptions.SessionsPerRemote is negative (%d)", f.SessionsPerRemote)
 	}
 	if f.SessionsPerRemote > 0 && f.Remotes == 0 {
-		return fmt.Errorf("scholarcloud: FleetOptions.SessionsPerRemote set (%d) but Remotes is zero — sessions need a fleet to belong to", f.SessionsPerRemote)
+		return fmt.Errorf("scholarcloud: FleetOptions.SessionsPerRemote set (%d) but Remotes is zero — name the pool size the sessions belong to", f.SessionsPerRemote)
 	}
 	return nil
 }
@@ -368,8 +369,8 @@ type Options struct {
 	NoBlinding bool
 	// SSKeepAlive overrides Shadowsocks' 10s keep-alive (ablation).
 	SSKeepAlive time.Duration
-	// Fleet, when non-nil with Remotes > 0, runs the domestic proxy
-	// against a managed remote-proxy pool.
+	// Fleet, when non-nil, grows the domestic proxy's remote-proxy pool
+	// beyond the paper's single remote (nil is the one-member pool).
 	Fleet *FleetOptions
 	// Cache, when non-nil, runs the domestic proxy with a shared content
 	// cache of Cache.CapacityMB MiB.
