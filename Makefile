@@ -15,8 +15,10 @@ check: build vet fmt race-hot race bench-selftest deprecations determinism
 ## is declarative policy applied through gfw.Apply, and a stray setter
 ## call would bypass the provisional-verdict bookkeeping Apply does.
 ## The third keeps the shard tier orchestrated once: internal/tier is the
-## only place a Director or an autoscale controller is constructed, so
-## the simulated and the real-socket tier cannot grow apart again.
+## only place a shard ring or an autoscale controller is constructed
+## (benchmark/layers drives shard.NewRing directly, as an isolated layer),
+## so the simulated, the one-process and the multi-process tier cannot
+## grow apart again.
 ## The fourth does the same for the border hop: core.Domestic.AssembleBorder
 ## is the only place a remote pool or a carrier ladder is constructed
 ## (benchmark/layers drives fleet.New directly, as an isolated layer).
@@ -35,8 +37,8 @@ deprecations:
 	else \
 		echo "deprecation gate: no imperative GFW mutation outside internal/gfw"; \
 	fi
-	@if grep -rnE "shard\.NewDirector\(|autoscale\.New\(" \
-		--include="*.go" --exclude="*_test.go" --exclude-dir=.bench_build . \
+	@if grep -rnE "shard\.NewRing\(|autoscale\.New\(" \
+		--include="*.go" --exclude="*_test.go" --exclude-dir=.bench_build --exclude-dir=benchmark . \
 		| grep -vE "^\./internal/(tier|shard|autoscale)/"; then \
 		echo "deprecation gate: orchestrate the shard tier only through internal/tier"; exit 1; \
 	else \

@@ -21,7 +21,6 @@ import (
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/pac"
 	"scholarcloud/internal/pki"
-	"scholarcloud/internal/shard"
 	"scholarcloud/internal/tier"
 )
 
@@ -329,10 +328,10 @@ type DomesticProxy struct {
 	// reg collects the proxy's metrics; the admin listener renders it and
 	// the tier autoscaler samples it.
 	reg *obs.Registry
-	// ring is the shard tier's rendezvous view when the proxy runs
-	// sharded (ShardAddrs or StartDomesticTier); nil for the ordinary
-	// single proxy. Tier shards share one ring.
-	ring *shard.Ring
+	// tier is the shard tier's control plane when the proxy runs sharded
+	// (ShardAddrs or StartDomesticTier); nil for the ordinary single
+	// proxy. The shards of a one-process tier share one.
+	tier *tier.Tier
 
 	scaleMu sync.Mutex
 	scaleFn func() []autoscale.Decision
@@ -380,27 +379,22 @@ func (d *DomesticProxy) PAC() string { return d.policy.JavaScript() }
 // live shards of a sharded deployment, or this proxy alone.
 func (d *DomesticProxy) ShardAddrs() []string { return d.policy.Proxies() }
 
-// MarkShardDown routes this shard's view of the tier around a seized
-// peer: the dead shard's key range rehashes to survivors and the PAC this
-// process serves stops listing it. Every surviving shard of a
-// multi-process tier must be told (each holds its own ring); the
-// one-process tier's DomesticTier.MarkDown does that fan-out. No-op for
-// an unsharded proxy.
+// MarkShardDown routes the tier around a seized shard: its key range
+// rehashes to survivors and the PAC stops listing it. Told to any shard of
+// a one-process tier, it republishes on every shard; a multi-process
+// shard holds its own tier, so every surviving process must be told.
+// No-op for an unsharded proxy.
 func (d *DomesticProxy) MarkShardDown(addr string) {
-	if d.ring == nil {
-		return
+	if d.tier != nil {
+		d.tier.MarkDown(addr)
 	}
-	d.ring.MarkDown(addr)
-	d.policy.SetProxies(d.ring.Up())
 }
 
-// MarkShardUp readmits a recovered peer shard (see MarkShardDown).
+// MarkShardUp readmits a recovered shard (see MarkShardDown).
 func (d *DomesticProxy) MarkShardUp(addr string) {
-	if d.ring == nil {
-		return
+	if d.tier != nil {
+		d.tier.MarkUp(addr)
 	}
-	d.ring.MarkUp(addr)
-	d.policy.SetProxies(d.ring.Up())
 }
 
 // SetWhitelist replaces the visible whitelist at runtime (the on-demand
@@ -475,17 +469,12 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 	if public == "" {
 		public = cfg.ProxyListen
 	}
-	var ring *shard.Ring
 	if len(cfg.ShardAddrs) > 0 {
 		if err := validateShardAddrs(cfg, public); err != nil {
 			return nil, err
 		}
-		ring = shard.NewRing(cfg.ShardAddrs)
 	}
 	policy := pac.New(public, cfg.Whitelist)
-	if ring != nil {
-		policy.SetProxies(cfg.ShardAddrs)
-	}
 	domestic := &core.Domestic{
 		Env:       env,
 		Secret:    cfg.Secret,
@@ -506,16 +495,6 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 			return nil, err
 		}
 		domestic.Cache = cc
-		if ring != nil {
-			// Sibling fetches dial the owning peer's public proxy address on
-			// the domestic network; Self must be this shard's tier entry so
-			// every peer computes the same ownership.
-			cc.SetPeers(&cache.Peers{
-				Self:  public,
-				Owner: ring.Owner,
-				Fetch: core.SiblingFetcher(net.Dial),
-			})
-		}
 	}
 	if cfg.Resilience {
 		domestic.Resil = &core.Resilience{
@@ -528,6 +507,23 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 	}
 	reg := obs.NewRegistry()
 	domestic.Instrument(reg)
+	var shardTier *tier.Tier
+	if len(cfg.ShardAddrs) > 0 {
+		// This process hosts one member of the tier: its own cache, under
+		// its public address, is the only one it can peer. Sibling fetches
+		// dial the owning peer's public proxy address on the domestic
+		// network.
+		members := make([]tier.Member, len(cfg.ShardAddrs))
+		for i, addr := range cfg.ShardAddrs {
+			members[i] = tier.Member{Addr: addr, Dial: net.Dial}
+			if addr == public {
+				members[i].Cache = domestic.Cache
+			}
+		}
+		shardTier = tier.New(members, time.Now, policy.SetProxies)
+		shardTier.Peer()
+		shardTier.Instrument(reg)
+	}
 
 	border := core.Border{Pool: fleet.Config{
 		SessionsPerRemote: cfg.SessionsPerRemote,
@@ -560,7 +556,7 @@ func StartDomestic(cfg DomesticConfig) (*DomesticProxy, error) {
 	// From here on every resource lives in p, so error exits close the
 	// partial proxy as a unit rather than maintaining parallel cleanup
 	// chains that drift as resources are added.
-	p := &DomesticProxy{domestic: domestic, pool: pool, ladder: ladder, policy: policy, reg: reg, ring: ring}
+	p := &DomesticProxy{domestic: domestic, pool: pool, ladder: ladder, policy: policy, reg: reg, tier: shardTier}
 	p.proxyLn, err = net.Listen("tcp", cfg.ProxyListen)
 	if err != nil {
 		p.Close()
@@ -636,9 +632,10 @@ func addrPlus(base string, i int) (string, error) {
 // takedown control plane.
 type DomesticTier struct {
 	shards []*DomesticProxy
-	// orch is the shared tier control plane (ring, Director, cache
-	// peering, warm-up admit, draining retire) — the same orchestration
-	// the simulator's worlds run, here on the wall clock over net.Dial.
+	// orch is the shared tier control plane (ring, health transitions,
+	// cache peering, warm-up admit, draining retire) — the same
+	// orchestration the simulator's worlds run, here on the wall clock over
+	// net.Dial. Every shard's tier field points at it.
 	orch *tier.Tier
 
 	asMu       sync.Mutex
@@ -703,7 +700,7 @@ func (t *DomesticTier) Close() {
 // o.InitialShards are parked as standbys (out of the ring, so the PAC and
 // key ownership cover only the active prefix) and a metrics-driven
 // control loop on the wall clock grows and shrinks the active set through
-// the Director. Demand is sampled from the shards' own request counters
+// the tier. Demand is sampled from the shards' own request counters
 // (proxied requests/sec tier-wide — calibrate Policy.ShardSessionsPerSec
 // in the same unit); a scale-up warms the joiner's cache from peers over
 // the sibling path before it enters the ring, and a scale-down drains the
@@ -814,7 +811,7 @@ func StartDomesticTier(cfg DomesticConfig, n int) (*DomesticTier, error) {
 	})
 	t.orch.Peer()
 	for _, d := range t.shards {
-		d.ring = t.orch.Ring()
+		d.tier = t.orch
 		// Tier membership on every shard's /metrics: live shard count,
 		// configured members, last-rebalance timestamp.
 		t.orch.Instrument(d.reg)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -882,13 +883,72 @@ func TestRealSocketShardAddrsPeering(t *testing.T) {
 		t.Errorf("origin fetched %d times by a 2-shard tier, want exactly 1", got)
 	}
 
-	// Each process holds its own ring: a takedown is told to each shard.
+	// Each process holds its own tier: a takedown is told to each shard.
 	shards[0].MarkShardDown(tierAddrs[1])
 	if got := shards[0].ShardAddrs(); len(got) != 1 || got[0] != tierAddrs[0] {
 		t.Errorf("after MarkShardDown shard 0 publishes %v, want just itself", got)
 	}
 	if got := shards[1].ShardAddrs(); len(got) != 2 {
 		t.Errorf("shard 1 (not yet told) publishes %v, want the full tier", got)
+	}
+	shards[0].MarkShardUp(tierAddrs[1])
+	if got := shards[0].ShardAddrs(); !slices.Equal(got, tierAddrs) {
+		t.Errorf("after MarkShardUp shard 0 publishes %v, want %v", got, tierAddrs)
+	}
+	if got := shards[1].ShardAddrs(); !slices.Equal(got, tierAddrs) {
+		t.Errorf("shard 1 (never told) publishes %v, want %v", got, tierAddrs)
+	}
+	snap := shards[0].reg.Snapshot()
+	if downs, ups := snap.Counter("shard.director.mark_down"), snap.Counter("shard.director.mark_up"); downs != 1 || ups != 1 {
+		t.Errorf("shard 0 counted %d mark_down / %d mark_up, want 1 / 1", downs, ups)
+	}
+	if got := shards[1].reg.Snapshot().Counter("shard.director.mark_down"); got != 0 {
+		t.Errorf("shard 1 counted %d mark_down, want 0 (it was never told)", got)
+	}
+}
+
+// TestRealSocketTierShardMarkDownFansOut tells one shard of a one-process
+// tier about a takedown: every shard shares the tier, so every shard's PAC
+// drops the victim and every shard's /metrics counts the transition, and
+// a recovery told to a different shard restores the tier everywhere.
+func TestRealSocketTierShardMarkDownFansOut(t *testing.T) {
+	remote, err := StartRemote(RemoteConfig{Listen: "127.0.0.1:0", Secret: []byte("fan-out")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	tier, err := StartDomesticTier(DomesticConfig{
+		ProxyListen: "127.0.0.1:0",
+		WebListen:   "127.0.0.1:0",
+		RemoteAddr:  remote.Addr().String(),
+		Secret:      []byte("fan-out"),
+		Whitelist:   []string{"scholar.google.com"},
+		CacheMB:     4,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+
+	addrs := tier.Addrs()
+	victim := addrs[2]
+	tier.Shards()[0].MarkShardDown(victim)
+	for i, d := range tier.Shards() {
+		if strings.Contains(d.PAC(), victim) {
+			t.Errorf("shard %d's PAC still lists the seized shard %s", i, victim)
+		}
+		if got := d.reg.Snapshot().Counter("shard.director.mark_down"); got != 1 {
+			t.Errorf("shard %d counted %d mark_down, want 1", i, got)
+		}
+	}
+	tier.Shards()[1].MarkShardUp(victim)
+	for i, d := range tier.Shards() {
+		if got := d.ShardAddrs(); !slices.Equal(got, addrs) {
+			t.Errorf("shard %d publishes %v after MarkShardUp, want %v", i, got, addrs)
+		}
+		if !strings.Contains(d.PAC(), victim) {
+			t.Errorf("shard %d's PAC does not list the readmitted shard %s", i, victim)
+		}
 	}
 }
 

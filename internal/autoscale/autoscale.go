@@ -5,8 +5,9 @@
 // demand instead of being provisioned for the worst hour. This package
 // is the control loop: it samples the tier's observable state — demand
 // (sessions/sec), page-load p99, cache hit rate, host utilization — and
-// grows or shrinks the active shard set through the shard Director,
-// which republishes the PAC and rewires cache peering atomically.
+// grows or shrinks the active shard set through internal/tier, which
+// warms or drains the moving shard's keys and republishes the PAC under
+// one lock.
 //
 // The policy is target tracking with hysteresis: the desired shard count
 // is the demand divided by one shard's calibrated capacity at a target
@@ -356,7 +357,7 @@ func (c *Controller) Decisions() []Decision {
 
 // Instrument publishes the controller's counters and gauges on reg; they
 // surface on the deployment's admin /metrics endpoint alongside the
-// Director's membership gauges.
+// tier's shard.director.* membership gauges.
 func (c *Controller) Instrument(reg *obs.Registry) {
 	reg.RegisterCounter("autoscale.ticks", &c.ticks)
 	reg.RegisterCounter("autoscale.scale_up", &c.ups)

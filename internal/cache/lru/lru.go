@@ -129,9 +129,6 @@ func (c *Cache) Len() int { return c.ll.Len() }
 // Used returns the total cost of resident entries.
 func (c *Cache) Used() int64 { return c.used }
 
-// Budget returns the configured capacity.
-func (c *Cache) Budget() int64 { return c.budget }
-
 func (c *Cache) evictOldest() {
 	el := c.ll.Back()
 	if el == nil {

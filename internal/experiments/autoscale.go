@@ -4,7 +4,7 @@ package experiments
 // becomes a control variable. A metrics-driven control loop
 // (internal/autoscale) samples the tier — offered sessions/sec, page-load
 // p99, cache hit rate — and grows or shrinks the active shard set through
-// the Director mid-run: joins pre-seed their owned keys from peers over
+// internal/tier mid-run: joins pre-seed their owned keys from peers over
 // the sibling path (no border stampede), retirements drain keys to the
 // survivors. Two schedules exercise it: a flash crowd (calm → 5× surge →
 // calm) and a compressed diurnal curve. Each runs three ways — a
@@ -142,7 +142,7 @@ type AutoscalePoint struct {
 // completion. Reports user experience (PLT mean/p99), border traffic,
 // the tier's capacity timeline, and the fractional-VM cost per user.
 func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*AutoscalePoint, error) {
-	mode := fmt.Sprintf("static-%d", w.shardCount())
+	mode := fmt.Sprintf("static-%d", len(w.ShardAddrs))
 	if w.Autoscaler != nil {
 		mode = "autoscaled"
 	}
@@ -151,10 +151,7 @@ func (w *World) MeasureAutoscale(schedule string, phases []LoadPhase) (*Autoscal
 	f := w.ScholarCloudFactory()
 
 	start := w.Env.Clock.Now()
-	startActive := w.shardCount()
-	if w.Autoscaler != nil {
-		startActive = len(w.Tier.Ring().Up())
-	}
+	startActive := len(w.Tier.Ring().Up())
 	var plts []time.Duration
 	for _, ph := range phases {
 		w.SetDemand(float64(ph.Clients)/autoscaleCadence.Seconds(), 0)

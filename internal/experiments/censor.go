@@ -310,20 +310,6 @@ func (w *World) armCensor() {
 	}
 }
 
-// ArmCensor arms the configured censor policy: base postures now,
-// scripted stages and adaptive controllers from now on the virtual
-// clock. No-op without Config.Censor; idempotent, so measurements arm
-// unconditionally at their start.
-func (w *World) ArmCensor() error {
-	if len(w.Regions) == 0 {
-		return nil
-	}
-	return w.Run(func() error {
-		w.armCensor()
-		return nil
-	})
-}
-
 // RungSurvival is one transport's share of a border's visits: how many
 // page loads rode this rung while it was the ladder's active transport,
 // and how many of those failed — the per-transport survival curve.

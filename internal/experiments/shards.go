@@ -15,7 +15,6 @@ import (
 	"strings"
 	"time"
 
-	"scholarcloud/internal/cache"
 	"scholarcloud/internal/obs"
 	"scholarcloud/internal/opscost"
 )
@@ -47,43 +46,22 @@ type ShardsPoint struct {
 	PerUserUSD float64
 }
 
-// shardCount reports how many domestic shards the world runs (1 for the
-// classic single-proxy worlds).
-func (w *World) shardCount() int {
-	if w.Cfg.Shards > 1 {
-		return w.Cfg.Shards
-	}
-	return 1
-}
-
-// tierCacheStats sums cache counters across the domestic tier; on
-// single-proxy worlds it is the lone cache's snapshot.
-func (w *World) tierCacheStats() cache.Stats {
-	if w.Tier != nil {
-		return w.Tier.CacheStats()
-	}
-	if w.Cache != nil {
-		return w.Cache.Snapshot()
-	}
-	return cache.Stats{}
-}
-
 // MeasureShards runs n concurrent ScholarCloud clients for `rounds`
 // continuous-browsing visits (client content caches cleared each round,
 // as in MeasureCacheLoad) and reports PLT, border traffic, tier-wide
 // cache activity, and the cost per served user at this shard count.
 func (w *World) MeasureShards(n, rounds int) (*ShardsPoint, error) {
 	borderBefore := w.Border.Stats()
-	before := w.tierCacheStats()
+	before := w.Tier.CacheStats()
 
 	p, err := w.measureScalabilityAt(w.ScholarCloudFactory(), n, rounds, cacheStressInterval, true)
 	if err != nil {
 		return nil, err
 	}
 
-	after := w.tierCacheStats()
+	after := w.Tier.CacheStats()
 	point := &ShardsPoint{
-		Shards:         w.shardCount(),
+		Shards:         len(w.ShardAddrs),
 		Clients:        n,
 		PLT:            p.PLT,
 		Failed:         p.Failed,
@@ -118,7 +96,7 @@ type ShardKillResult struct {
 
 	// Visit/failure counts by when the visit started, relative to the
 	// seizure. Unlike a fleet takedown there is no detection window: the
-	// director marks the shard down the instant its listener dies, and
+	// tier marks the shard down the instant its listener dies, and
 	// the next PAC evaluation routes its users to the survivors.
 	VisitsBefore, FailedBefore int
 	VisitsAfter, FailedAfter   int
@@ -142,19 +120,19 @@ func (r *ShardKillResult) SuccessAfter() float64 {
 // victim must not be shard 0 (it hosts the PAC web endpoint, which real
 // deployments would serve from every shard or a separate box).
 func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*ShardKillResult, error) {
-	if w.Tier == nil {
-		return nil, fmt.Errorf("experiments: world has no shard tier (Config.Shards < 2)")
+	if len(w.ShardAddrs) < 2 {
+		return nil, fmt.Errorf("experiments: world has no shard to seize (Config.Shards < 2)")
 	}
 	if victim <= 0 || victim >= len(w.ShardAddrs) {
 		return nil, fmt.Errorf("experiments: shard-kill victim %d out of range (want 1..%d)", victim, len(w.ShardAddrs)-1)
 	}
 	res := &ShardKillResult{
-		Shards:  w.Cfg.Shards,
+		Shards:  len(w.ShardAddrs),
 		Clients: n,
 		Victim:  victim,
 		KillAt:  killAt,
 	}
-	siblingErrBefore := w.tierCacheStats().SiblingErrors
+	siblingErrBefore := w.Tier.CacheStats().SiblingErrors
 	var visits []visitResult
 	err := w.Run(func() error {
 		w.Env.Spawn.Go(func() {
@@ -168,7 +146,7 @@ func (w *World) MeasureShardKill(n, rounds, victim int, killAt time.Duration) (*
 		return nil, err
 	}
 
-	res.SiblingErrors = w.tierCacheStats().SiblingErrors - siblingErrBefore
+	res.SiblingErrors = w.Tier.CacheStats().SiblingErrors - siblingErrBefore
 	for _, v := range visits {
 		if v.start < killAt {
 			res.VisitsBefore++

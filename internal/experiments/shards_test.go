@@ -59,7 +59,7 @@ func TestShardedTierFetchesSharedObjectOnceAcrossBorder(t *testing.T) {
 		if err := fetchFromEveryShard(); err != nil {
 			return err
 		}
-		st := w.tierCacheStats()
+		st := w.Tier.CacheStats()
 		if st.BorderFetches != 1 {
 			t.Errorf("first wave crossed the border %d times, want exactly 1", st.BorderFetches)
 		}
@@ -79,10 +79,10 @@ func TestShardedTierFetchesSharedObjectOnceAcrossBorder(t *testing.T) {
 		if after := borderStreams(w); after != before {
 			t.Errorf("second wave crossed the border: %d -> %d tunnel streams", before, after)
 		}
-		if st := w.tierCacheStats(); st.BorderFetches != 1 {
+		if st := w.Tier.CacheStats(); st.BorderFetches != 1 {
 			t.Errorf("border fetches after the second wave = %d, want still 1", st.BorderFetches)
 		}
-		if st := w.tierCacheStats(); st.Hits < shards {
+		if st := w.Tier.CacheStats(); st.Hits < shards {
 			t.Errorf("second wave hits = %d, want >= %d (every shard serves locally)", st.Hits, shards)
 		}
 		return nil

@@ -132,7 +132,7 @@ type Config struct {
 	// US zone, its own gfw.GFW instance (seeded independently), and its
 	// own domestic proxy with a full carrier escalation ladder. The
 	// policy's scripted stages and adaptive controllers run on the
-	// virtual clock once a measurement calls ArmCensor. Mutually
+	// virtual clock once MeasureCensorship arms them. Mutually
 	// exclusive with Transports, FleetRemotes, Shards, CacheMB and
 	// FaultScenario. Nil keeps the single-border world — and every
 	// historical figure — byte-identical.
@@ -208,17 +208,19 @@ type World struct {
 	// a one-shard tier (ShardHosts[0] == SCDomestic, ShardDomestics[0] ==
 	// Domestic, ShardCaches[0] == Cache, nil without CacheMB). Censor
 	// worlds have no classic tier — every Region runs its own proxy — so
-	// these, Domestic, Cache and Fleet are empty there. ShardAddrs, set
-	// when Cfg.Shards > 1, are the proxy "ip:port" endpoints — the shard
-	// names the Ring hashes over and the PAC file renders.
+	// these, Domestic, Cache, Fleet and Tier are empty there. ShardAddrs
+	// are the proxy "ip:port" endpoints — the shard names the Ring hashes
+	// over and the PAC file renders.
 	ShardHosts     []*netsim.Host
 	ShardDomestics []*core.Domestic
 	ShardCaches    []*cache.Cache
 	ShardAddrs     []string
 	shardProxies   []*httpsim.Proxy
-	// Tier is the shard tier's control plane (ring, Director, cache
-	// peering, warm-up admit, draining retire) — the same orchestration
-	// the real-socket DomesticTier runs, here on the virtual clock.
+	// Tier is the domestic tier's control plane (ring, health
+	// transitions, cache peering, warm-up admit, draining retire) over
+	// ShardAddrs — a one-member tier for the paper's single proxy. It is
+	// the same orchestration the real-socket DomesticTier and a
+	// multi-process shard run, here on the virtual clock.
 	Tier *tier.Tier
 
 	// Autoscaler is the tier's scaling control loop when
@@ -235,8 +237,8 @@ type World struct {
 	Faults *faults.Scheduler
 
 	// Regions holds the per-border deployments when Cfg.Censor is set
-	// (nil otherwise), in policy order. Measurements arm the policy's
-	// schedules and controllers with ArmCensor.
+	// (nil otherwise), in policy order. MeasureCensorship arms the
+	// policy's schedules and controllers inside its own Run.
 	Regions         []*Region
 	censorArmed     bool
 	tunnelResolvers []string

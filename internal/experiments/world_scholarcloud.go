@@ -71,12 +71,6 @@ func (w *World) startScholarCloud() {
 		fmt.Sprintf("%s:%d", ipDomestic, portProxy),
 		[]string{"scholar.google.com", "accounts.google.com"},
 	)
-	if w.Cfg.Shards > 1 {
-		for i := 0; i < w.Cfg.Shards; i++ {
-			w.ShardAddrs = append(w.ShardAddrs, w.ShardAddr(i))
-		}
-	}
-
 	w.Remote = w.startRemote(w.SCRemoteHost)
 
 	if w.Cfg.Censor != nil {
@@ -88,12 +82,10 @@ func (w *World) startScholarCloud() {
 	}
 
 	for i := 0; i < max(w.Cfg.Shards, 1); i++ {
+		w.ShardAddrs = append(w.ShardAddrs, w.ShardAddr(i))
 		w.startDomesticShard(i)
 	}
-
-	if w.Cfg.Shards > 1 {
-		w.startTier()
-	}
+	w.startTier()
 
 	switch {
 	case len(w.Cfg.Transports) > 0 && w.Cfg.FleetRemotes > 0:
@@ -222,20 +214,20 @@ func (w *World) startDomesticShard(i int) {
 }
 
 // KillShard takes domestic shard i down: its proxy listener dies (new
-// user and sibling dials fail) and the Director coordinates the takedown
-// — the dead shard's key range rehashes to survivors (ring policy
+// user and sibling dials fail) and the tier coordinates the takedown —
+// the dead shard's key range rehashes to survivors (ring policy
 // permitting) and the PAC policy republishes so users route elsewhere.
 func (w *World) KillShard(i int) {
 	w.shardProxies[i].Close()
 	w.Tier.MarkDown(w.ShardAddrs[i])
 }
 
-// startTier hands the provisioned shards to the shared tier control
-// plane. Every health transition republishes the live shard set into the
-// PAC policy, so users' next evaluation (the refreshed PAC a real browser
-// would re-download) routes only to survivors. With AutoscaleInitial set
-// the standbys are parked and the control loop starts on the virtual
-// clock, fed by SetDemand.
+// startTier hands the provisioned shards — one, for the paper's single
+// proxy — to the shared tier control plane. Every health transition
+// republishes the live shard set into the PAC policy, so users' next
+// evaluation (the refreshed PAC a real browser would re-download) routes
+// only to survivors. With AutoscaleInitial set the standbys are parked
+// and the control loop starts on the virtual clock, fed by SetDemand.
 func (w *World) startTier() {
 	members := make([]tier.Member, len(w.ShardAddrs))
 	for i, addr := range w.ShardAddrs {

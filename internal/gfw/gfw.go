@@ -32,7 +32,6 @@
 package gfw
 
 import (
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -176,18 +175,6 @@ func (g *GFW) Instrument(reg *obs.Registry) {
 		read := read
 		reg.RegisterFunc(name, func() int64 { return read(g.Stats()) })
 	}
-}
-
-// BlockedClasses reports the classes currently under a crackdown.
-func (g *GFW) BlockedClasses() []Class {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]Class, 0, len(g.blockedClass))
-	for c := range g.blockedClass {
-		out = append(out, c)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // SetTrace installs (or, with nil, removes) a flow tracer receiving a span

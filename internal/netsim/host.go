@@ -116,17 +116,6 @@ func (h *Host) SetBackgroundUtilization(u float64) {
 	h.mu.Unlock()
 }
 
-// CPUQueueDelay reports how far behind the host's CPU currently is.
-func (h *Host) CPUQueueDelay() time.Duration {
-	now := h.n.sched.Elapsed()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.cpuFree <= now {
-		return 0
-	}
-	return h.cpuFree - now
-}
-
 func (h *Host) allocPort() int {
 	// Caller holds h.mu.
 	for {

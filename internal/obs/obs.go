@@ -109,17 +109,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) {
 	r.RegisterFunc(name, c.Value)
 }
 
-// RegisterGauge publishes a component-owned gauge under name. Multiple
-// registrations under the same name are summed at snapshot time.
-func (r *Registry) RegisterGauge(name string, g *Gauge) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = append(r.gaugeFuncs[name], g.Value)
-}
-
 // RegisterFunc publishes an arbitrary int64 reader as a counter source
 // under name. The function is called (off the hot path) on every Snapshot;
 // it must not call back into the registry.

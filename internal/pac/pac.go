@@ -82,8 +82,8 @@ func (c *Config) SetDomains(domains []string) {
 	c.domains = normalized
 }
 
-// SetProxies replaces the proxy tier — the hook the shard Director uses
-// to publish the live shard set after a takedown or recovery, so the next
+// SetProxies replaces the proxy tier — the hook internal/tier publishes
+// the live shard set through after a takedown or recovery, so the next
 // PAC download stops routing users to dead shards.
 func (c *Config) SetProxies(proxies []string) {
 	cleaned := make([]string, 0, len(proxies))
@@ -171,17 +171,12 @@ func (c *Config) EvaluateFor(clientIP, host string) Decision {
 	if !c.Match(host) {
 		return Decision{}
 	}
-	addrs := c.Proxies()
+	c.mu.RLock()
+	addrs := shard.Rank(clientIP, c.proxies)
+	c.mu.RUnlock()
 	if len(addrs) == 0 {
 		return Decision{}
 	}
-	sort.SliceStable(addrs, func(i, j int) bool {
-		si, sj := shard.Score(clientIP, addrs[i]), shard.Score(clientIP, addrs[j])
-		if si != sj {
-			return si > sj
-		}
-		return addrs[i] < addrs[j]
-	})
 	return Decision{Proxy: true, Address: addrs[0], Addresses: addrs}
 }
 

@@ -17,18 +17,14 @@
 //     FindProxyForURL — the simulator and a stock browser route a user to
 //     the same shard.
 //
-// The Director is the tier's coordinated health/takedown control plane:
-// marking a shard down rehashes its key range to survivors (unless the
-// rehash-on-death ablation is off) and notifies subscribers (PAC refresh,
-// routing tables) in registration order.
+// Coordinating health transitions across a tier (counting them, stamping
+// them, republishing the live set into every PAC) is internal/tier's job;
+// this package is only the hash and the Ring.
 package shard
 
 import (
 	"sort"
 	"sync"
-	"time"
-
-	"scholarcloud/internal/obs"
 )
 
 // Hash32 is 32-bit FNV-1a over s, written so that a JavaScript mirror
@@ -50,6 +46,23 @@ func Hash32(s string) uint32 {
 // "key|name". Routing picks the shard maximizing it.
 func Score(key, name string) uint32 {
 	return Hash32(key + "|" + name)
+}
+
+// Rank returns a copy of names in key's rendezvous preference order:
+// highest Score first, ties toward the lexicographically smaller name.
+// Over a Ring's live shards its first element is the Owner and the rest
+// are the per-user failover list the PAC renders ("PROXY a; PROXY b;
+// ..."), sorted exactly as the generated JavaScript sorts them.
+func Rank(key string, names []string) []string {
+	out := append([]string(nil), names...)
+	sort.SliceStable(out, func(i, j int) bool {
+		si, sj := Score(key, out[i]), Score(key, out[j])
+		if si != sj {
+			return si > sj
+		}
+		return out[i] < out[j]
+	})
+	return out
 }
 
 // Ring is a rendezvous-hash view of the shard tier. All methods are safe
@@ -141,136 +154,4 @@ func (r *Ring) Owner(key string) string {
 		}
 	}
 	return owner
-}
-
-// Assign returns key's live shards in rendezvous preference order —
-// Owner first, then each fallback. This is the per-user failover list the
-// PAC file renders ("PROXY a; PROXY b; ...").
-func (r *Ring) Assign(key string) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	up := make([]string, 0, len(r.names))
-	for _, n := range r.names {
-		if !r.down[n] {
-			up = append(up, n)
-		}
-	}
-	sort.SliceStable(up, func(i, j int) bool {
-		si, sj := Score(key, up[i]), Score(key, up[j])
-		if si != sj {
-			return si > sj
-		}
-		return up[i] < up[j]
-	})
-	return up
-}
-
-// Director is the shard tier's control plane: it owns the Ring's health
-// state and fans every transition out to subscribers — the PAC policy
-// (refresh the proxy list real browsers download), the experiment
-// harness, the admin surface — in registration order, under one lock, so
-// no subscriber ever observes a half-applied transition.
-type Director struct {
-	ring *Ring
-
-	mu       sync.Mutex
-	onChange []func(up []string)
-	downs    obs.Counter
-	ups      obs.Counter
-	// now stamps transitions: the virtual clock in simulated worlds,
-	// time.Now in deployment, nil to leave transitions unstamped.
-	now           func() time.Time
-	lastRebalance time.Time
-}
-
-// NewDirector wraps ring in a control plane.
-func NewDirector(ring *Ring) *Director {
-	return &Director{ring: ring}
-}
-
-// Ring returns the underlying rendezvous ring.
-func (d *Director) Ring() *Ring { return d.ring }
-
-// OnChange registers fn to run (with the post-transition live set) after
-// every MarkDown/MarkUp. Callbacks run synchronously in registration
-// order.
-func (d *Director) OnChange(fn func(up []string)) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.onChange = append(d.onChange, fn)
-}
-
-// SetClock installs the time source transitions are stamped with (the
-// virtual clock in simulated worlds, time.Now in deployment). A nil
-// clock leaves LastRebalance at its zero value.
-func (d *Director) SetClock(now func() time.Time) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.now = now
-}
-
-// LastRebalance returns the clock reading of the most recent
-// MarkDown/MarkUp, or the zero time before the first transition (or when
-// no clock is installed).
-func (d *Director) LastRebalance() time.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastRebalance
-}
-
-// MarkDown takes shard name out of service: its key range rehashes to
-// survivors (ring policy permitting) and every subscriber is notified so
-// users get a refreshed PAC and the tier stops routing to it.
-func (d *Director) MarkDown(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ring.MarkDown(name)
-	d.downs.Inc()
-	d.notifyLocked()
-}
-
-// MarkUp returns shard name to service and notifies subscribers.
-func (d *Director) MarkUp(name string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.ring.MarkUp(name)
-	d.ups.Inc()
-	d.notifyLocked()
-}
-
-// notifyLocked stamps the transition and fans it out while d.mu is still
-// held, so concurrent transitions cannot interleave: every subscriber
-// sees the same sequence of up-sets, each read atomically with the ring
-// mutation that produced it. Subscribers must not call back into the
-// Director.
-func (d *Director) notifyLocked() {
-	if d.now != nil {
-		d.lastRebalance = d.now()
-	}
-	up := d.ring.Up()
-	for _, fn := range d.onChange {
-		fn(up)
-	}
-}
-
-// Instrument publishes the control plane's transition counters and
-// membership gauges on reg: configured members, live shard count, and
-// the last-rebalance timestamp (milliseconds since the Unix epoch on the
-// Director's clock; 0 before the first transition).
-func (d *Director) Instrument(reg *obs.Registry) {
-	reg.RegisterCounter("shard.director.mark_down", &d.downs)
-	reg.RegisterCounter("shard.director.mark_up", &d.ups)
-	reg.RegisterGaugeFunc("shard.director.live", func() int64 {
-		return int64(len(d.ring.Up()))
-	})
-	reg.RegisterGaugeFunc("shard.director.members", func() int64 {
-		return int64(len(d.ring.Names()))
-	})
-	reg.RegisterGaugeFunc("shard.director.last_rebalance_ms", func() int64 {
-		t := d.LastRebalance()
-		if t.IsZero() {
-			return 0
-		}
-		return t.UnixMilli()
-	})
 }

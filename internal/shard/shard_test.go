@@ -2,10 +2,8 @@ package shard
 
 import (
 	"fmt"
-	"strings"
-	"sync"
+	"slices"
 	"testing"
-	"time"
 )
 
 // jsHash32 mirrors Hash32 exactly the way the generated PAC JavaScript
@@ -148,143 +146,25 @@ func TestRehashOnDeathOff(t *testing.T) {
 func TestAssignOrdersByScoreAndSkipsDown(t *testing.T) {
 	r := NewRing(shardNames(4))
 	user := "10.3.1.7"
-	order := r.Assign(user)
+	up := r.Up()
+	order := Rank(user, up)
 	if len(order) != 4 {
-		t.Fatalf("Assign returned %d shards", len(order))
+		t.Fatalf("Rank returned %d shards", len(order))
+	}
+	if !slices.Equal(up, r.Up()) {
+		t.Errorf("Rank reordered its input: %v", up)
 	}
 	if order[0] != r.Owner(user) {
-		t.Errorf("Assign[0] = %s, Owner = %s", order[0], r.Owner(user))
+		t.Errorf("Rank[0] = %s, Owner = %s", order[0], r.Owner(user))
 	}
 	for i := 1; i < len(order); i++ {
 		if Score(user, order[i-1]) < Score(user, order[i]) {
-			t.Errorf("Assign not in descending score order at %d: %v", i, order)
+			t.Errorf("Rank not in descending score order at %d: %v", i, order)
 		}
 	}
 	r.MarkDown(order[0])
-	next := r.Assign(user)
+	next := Rank(user, r.Up())
 	if len(next) != 3 || next[0] != order[1] {
-		t.Errorf("after death, Assign = %v (want %v promoted)", next, order[1])
-	}
-}
-
-func TestDirectorNotifiesAndCounts(t *testing.T) {
-	r := NewRing(shardNames(3))
-	d := NewDirector(r)
-	var got [][]string
-	d.OnChange(func(up []string) { got = append(got, up) })
-	victim := r.Names()[2]
-	d.MarkDown(victim)
-	if len(got) != 1 || len(got[0]) != 2 {
-		t.Fatalf("after MarkDown, notifications = %v", got)
-	}
-	if !r.IsDown(victim) {
-		t.Error("ring did not record the MarkDown")
-	}
-	d.MarkUp(victim)
-	if len(got) != 2 || len(got[1]) != 3 {
-		t.Fatalf("after MarkUp, notifications = %v", got)
-	}
-}
-
-// TestDirectorFanOutIsAtomicAcrossSubscribers is the regression test for
-// the autoscaler's ordering requirement: every subscriber (PAC republish,
-// cache-peer updates) must observe the identical sequence of up-sets, and
-// each delivered up-set must be the one produced by the transition that
-// triggered it — never a later transition's state leaking in because the
-// ring was re-read outside the transition's critical section.
-func TestDirectorFanOutIsAtomicAcrossSubscribers(t *testing.T) {
-	names := shardNames(4)
-	r := NewRing(names)
-	d := NewDirector(r)
-	var mu sync.Mutex
-	var seqA, seqB []string
-	record := func(seq *[]string) func(up []string) {
-		return func(up []string) {
-			mu.Lock()
-			*seq = append(*seq, strings.Join(up, ","))
-			mu.Unlock()
-		}
-	}
-	d.OnChange(record(&seqA))
-	d.OnChange(record(&seqB))
-
-	const rounds = 200
-	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		victim := names[g+1]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				d.MarkDown(victim)
-				d.MarkUp(victim)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if len(seqA) != 3*2*rounds || len(seqB) != len(seqA) {
-		t.Fatalf("notification counts: subscriber A %d, B %d, want %d each", len(seqA), len(seqB), 3*2*rounds)
-	}
-	for i := range seqA {
-		if seqA[i] != seqB[i] {
-			t.Fatalf("subscribers diverged at event %d: A saw %q, B saw %q", i, seqA[i], seqB[i])
-		}
-	}
-	// Each delivered up-set must be the immediate successor of the
-	// previous one: exactly one shard toggled, and shard 0 (never touched)
-	// always live. A fan-out that re-reads the ring outside its
-	// transition's critical section delivers duplicate or skipped states
-	// here.
-	prev := strings.Join(names, ",")
-	for i, s := range seqA {
-		if !strings.Contains(s, names[0]) {
-			t.Fatalf("event %d (%q) lost always-up shard %s", i, s, names[0])
-		}
-		if d := upSetDiff(prev, s); d != 1 {
-			t.Fatalf("event %d: %d shards toggled between %q and %q, want exactly 1", i, d, prev, s)
-		}
-		prev = s
-	}
-	if prev != strings.Join(names, ",") {
-		t.Fatalf("final delivered up-set %q, want all shards live", prev)
-	}
-}
-
-// upSetDiff counts the shards present in exactly one of two comma-joined
-// up-sets.
-func upSetDiff(a, b string) int {
-	in := map[string]int{}
-	for _, n := range strings.Split(a, ",") {
-		in[n]++
-	}
-	for _, n := range strings.Split(b, ",") {
-		in[n]--
-	}
-	d := 0
-	for _, v := range in {
-		if v != 0 {
-			d++
-		}
-	}
-	return d
-}
-
-func TestDirectorStampsRebalanceOnItsClock(t *testing.T) {
-	r := NewRing(shardNames(2))
-	d := NewDirector(r)
-	if !d.LastRebalance().IsZero() {
-		t.Fatal("LastRebalance non-zero before any transition")
-	}
-	now := time.Unix(1000, 0)
-	d.SetClock(func() time.Time { return now })
-	d.MarkDown(r.Names()[1])
-	if got := d.LastRebalance(); !got.Equal(now) {
-		t.Fatalf("LastRebalance = %v, want %v", got, now)
-	}
-	now = now.Add(90 * time.Second)
-	d.MarkUp(r.Names()[1])
-	if got := d.LastRebalance(); !got.Equal(now) {
-		t.Fatalf("LastRebalance after MarkUp = %v, want %v", got, now)
+		t.Errorf("after death, Rank = %v (want %v promoted)", next, order[1])
 	}
 }

@@ -1,12 +1,13 @@
-// Package tier is the sharded domestic tier's control plane, written
-// once for both clocks. The simulator's World and the real-socket
-// DomesticTier each provision their own shards (hosts, listeners,
-// proxies, caches) and hand this package the ordered member list; the
-// Tier owns everything that coordinates them: the rendezvous ring and its
-// Director, cache peering over the sibling-fetch path, standby parking,
-// the autoscale controller with the tier half of its sample, and the
-// warm-up admit / draining retire that move keys between shards without
-// crossing the border.
+// Package tier is the domestic tier's control plane, written once for
+// both clocks. The simulator's World (whose single proxy is a one-member
+// tier), the real-socket DomesticTier and each process of a multi-process
+// tier provision their own shards (hosts, listeners, proxies, caches) and
+// hand this package the ordered member list; the Tier owns everything that
+// coordinates them: the rendezvous ring and its health transitions (each
+// counted, stamped and republished to the PAC), cache peering over the
+// sibling-fetch path, standby parking, the autoscale controller with the
+// tier half of its sample, and the warm-up admit / draining retire that
+// move keys between shards without crossing the border.
 //
 // It lives beside internal/shard rather than inside it because it needs
 // core.SiblingFetcher, and core → pac → shard would cycle.
@@ -17,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"scholarcloud/internal/autoscale"
@@ -32,8 +34,10 @@ type Member struct {
 	// Addr is the shard's public proxy "host:port": its name in the ring
 	// and in the PAC, and the endpoint its peers dial for sibling fetches.
 	Addr string
-	// Cache is the shard's content cache (required — the tier is a cache
-	// tier).
+	// Cache is the shard's content cache: nil for a cacheless simulated
+	// proxy, and for a member another process hosts (a multi-process
+	// shard knows only its own cache). Peering and stats skip nil caches;
+	// autoscaling needs every one.
 	Cache *cache.Cache
 	// Dial opens connections from this shard onto the domestic network: a
 	// simulated host's Dial, or net.Dial.
@@ -44,47 +48,77 @@ type Member struct {
 // the member's position in the list New was given; shard 0 is the tier's
 // anchor and never retires.
 type Tier struct {
-	members  []Member
-	ring     *shard.Ring
-	director *shard.Director
-	publish  func(up []string)
+	members []Member
+	ring    *shard.Ring
+	now     func() time.Time
+	publish func(up []string)
 	// peered records that Peer wired the caches; an un-peered tier (the
 	// simulator's sibling-fetch ablation) admits and retires without
 	// moving keys.
 	peered bool
+
+	// mu serialises membership changes with their publication, so
+	// concurrent transitions cannot interleave: publish sees every live
+	// set in the order the ring produced it, each read atomically with the
+	// change that produced it. publish must not call back into the Tier.
+	mu            sync.Mutex
+	downs, ups    obs.Counter
+	lastRebalance time.Time
 }
 
-// New builds the tier's ring and Director over members, all live. now
-// stamps health transitions (the virtual clock or time.Now). publish
-// receives the live shard addresses — once here, then after every
-// membership change — and is where the caller refreshes its PAC.
+// New builds the tier's ring over members, all live. now stamps health
+// transitions (the virtual clock or time.Now). publish receives the live
+// shard addresses — once here, then after every membership change — and
+// is where the caller refreshes its PAC.
 func New(members []Member, now func() time.Time, publish func(up []string)) *Tier {
 	addrs := make([]string, len(members))
 	for i, m := range members {
 		addrs[i] = m.Addr
 	}
-	ring := shard.NewRing(addrs)
-	director := shard.NewDirector(ring)
-	director.SetClock(now)
-	director.OnChange(publish)
 	publish(addrs)
-	return &Tier{members: members, ring: ring, director: director, publish: publish}
+	return &Tier{members: members, ring: shard.NewRing(addrs), now: now, publish: publish}
 }
 
 // Ring returns the tier's rendezvous view.
 func (t *Tier) Ring() *shard.Ring { return t.ring }
 
-// Instrument publishes the tier's membership gauges and transition
-// counters on reg (live shard count, configured members, last-rebalance
-// timestamp). A real-socket tier calls it once per shard registry.
-func (t *Tier) Instrument(reg *obs.Registry) { t.director.Instrument(reg) }
+// Instrument publishes the tier's transition counters and membership
+// gauges on reg: configured members, live shard count, and the
+// last-rebalance timestamp (milliseconds since the Unix epoch on the
+// tier's clock; 0 before the first transition). A real-socket tier calls
+// it once per shard registry.
+func (t *Tier) Instrument(reg *obs.Registry) {
+	reg.RegisterCounter("shard.director.mark_down", &t.downs)
+	reg.RegisterCounter("shard.director.mark_up", &t.ups)
+	reg.RegisterGaugeFunc("shard.director.live", func() int64 { return int64(len(t.ring.Up())) })
+	reg.RegisterGaugeFunc("shard.director.members", func() int64 { return int64(len(t.members)) })
+	reg.RegisterGaugeFunc("shard.director.last_rebalance_ms", func() int64 {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if t.lastRebalance.IsZero() {
+			return 0
+		}
+		return t.lastRebalance.UnixMilli()
+	})
+}
 
 // MarkDown coordinates a takedown: addr's key range rehashes to survivors
 // (ring policy permitting) and the live set is republished.
-func (t *Tier) MarkDown(addr string) { t.director.MarkDown(addr) }
+func (t *Tier) MarkDown(addr string) { t.transition(t.ring.MarkDown, addr, &t.downs) }
 
 // MarkUp readmits a recovered shard tier-wide.
-func (t *Tier) MarkUp(addr string) { t.director.MarkUp(addr) }
+func (t *Tier) MarkUp(addr string) { t.transition(t.ring.MarkUp, addr, &t.ups) }
+
+// transition applies one health change to the ring, counts and stamps it,
+// and publishes the resulting live set, all under t.mu.
+func (t *Tier) transition(change func(string), addr string, count *obs.Counter) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	change(addr)
+	count.Inc()
+	t.lastRebalance = t.now()
+	t.publish(t.ring.Up())
+}
 
 // Peer wires the members' caches into a peering mesh: rendezvous key
 // ownership, with a local miss filled from the owning peer over the
@@ -92,6 +126,9 @@ func (t *Tier) MarkUp(addr string) { t.director.MarkUp(addr) }
 // instead of across the border.
 func (t *Tier) Peer() {
 	for _, m := range t.members {
+		if m.Cache == nil {
+			continue
+		}
 		m.Cache.SetPeers(&cache.Peers{
 			Self:  m.Addr,
 			Owner: t.ring.Owner,
@@ -105,6 +142,9 @@ func (t *Tier) Peer() {
 func (t *Tier) CacheStats() cache.Stats {
 	var total cache.Stats
 	for _, m := range t.members {
+		if m.Cache == nil {
+			continue
+		}
 		s := m.Cache.Snapshot()
 		total.Hits += s.Hits
 		total.Misses += s.Misses
@@ -163,6 +203,8 @@ func (t *Tier) Autoscale(initial int, pol autoscale.Policy, demand func() (sessi
 	if err != nil {
 		return nil, err
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for _, m := range t.members[initial:] {
 		t.ring.MarkDown(m.Addr)
 	}
@@ -238,7 +280,7 @@ var errWarmupNoBorder = errors.New("tier: warm-up fetch must not cross the borde
 func noBorder(map[string]string) (*httpsim.Response, error) { return nil, errWarmupNoBorder }
 
 // Admit warms up standby shard i and admits it to the ring. Before the
-// Director announces the join, the shard pre-seeds every fresh key it is
+// tier announces the join, the shard pre-seeds every fresh key it is
 // about to own — ownership computed on a candidate ring that includes it
 // — from the key's current owner over the sibling-fetch path: the joiner
 // is still outside the live ring, so its peered Fetch routes to the
@@ -266,11 +308,11 @@ func (t *Tier) Admit(i int) int {
 			}
 		}
 	}
-	t.director.MarkUp(joiner.Addr)
+	t.MarkUp(joiner.Addr)
 	return preseeded
 }
 
-// Retire drains active shard i out of the ring: the Director first
+// Retire drains active shard i out of the ring: the tier first
 // rehashes its key range and republishes the live set (new sessions route
 // to survivors; the shard's listener stays open so in-flight sessions
 // finish), then every fresh key the leaver held is pulled by its new
@@ -290,7 +332,7 @@ func (t *Tier) Retire(i int) int {
 	if t.peered {
 		keys = leaver.Cache.Keys()
 	}
-	t.director.MarkDown(leaver.Addr)
+	t.MarkDown(leaver.Addr)
 	handed := 0
 	for _, key := range keys {
 		newOwner := t.ring.Owner(key)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"scholarcloud/internal/cache"
 	"scholarcloud/internal/httpsim"
 	"scholarcloud/internal/netx"
+	"scholarcloud/internal/obs"
 	"scholarcloud/internal/shard"
 )
 
@@ -335,5 +337,156 @@ func TestAutoscaleDefaultsBoundsAndSamplesTheTier(t *testing.T) {
 	}
 	if got := len(h.tier.Ring().Up()); got != 3 {
 		t.Errorf("%d shards live after the decision, want 3", got)
+	}
+}
+
+// bareTier is a tier of n cacheless members, instrumented on a fresh
+// registry, whose publish callback appends every live set it receives
+// (comma-joined) to *sets. publish runs under the tier's lock, so the
+// appends need none of their own.
+func bareTier(n int, now func() time.Time) (tr *Tier, reg *obs.Registry, sets *[]string) {
+	members := make([]Member, n)
+	for i := range members {
+		members[i].Addr = fmt.Sprintf("shard-%d.example:8118", i)
+	}
+	sets = new([]string)
+	tr = New(members, now, func(up []string) { *sets = append(*sets, strings.Join(up, ",")) })
+	reg = obs.NewRegistry()
+	tr.Instrument(reg)
+	return tr, reg, sets
+}
+
+func TestTransitionsPublishAndCount(t *testing.T) {
+	tr, reg, sets := bareTier(3, time.Now)
+	all := strings.Join(tr.Ring().Names(), ",")
+	if len(*sets) != 1 || (*sets)[0] != all {
+		t.Fatalf("New published %v, want the full tier once", *sets)
+	}
+	victim := tr.Ring().Names()[2]
+	tr.MarkDown(victim)
+	if len(*sets) != 2 || strings.Contains((*sets)[1], victim) || upSetDiff(all, (*sets)[1]) != 1 {
+		t.Fatalf("after MarkDown, published %v", *sets)
+	}
+	if !tr.Ring().IsDown(victim) {
+		t.Error("ring did not record the MarkDown")
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter("shard.director.mark_down"); got != 1 {
+		t.Errorf("mark_down = %d, want 1", got)
+	}
+	if live, members := snap.Gauge("shard.director.live"), snap.Gauge("shard.director.members"); live != 2 || members != 3 {
+		t.Errorf("live/members = %d/%d, want 2/3", live, members)
+	}
+	tr.MarkUp(victim)
+	if len(*sets) != 3 || (*sets)[2] != all {
+		t.Fatalf("after MarkUp, published %v", *sets)
+	}
+	snap = reg.Snapshot()
+	if got := snap.Counter("shard.director.mark_up"); got != 1 {
+		t.Errorf("mark_up = %d, want 1", got)
+	}
+	if got := snap.Gauge("shard.director.live"); got != 3 {
+		t.Errorf("live = %d after MarkUp, want 3", got)
+	}
+}
+
+// TestTransitionFanOutIsAtomic is the regression test for the
+// autoscaler's ordering requirement: every published live set must be the
+// one produced by the transition that triggered it — never a later
+// transition's state leaking in because the ring was re-read outside the
+// transition's critical section.
+func TestTransitionFanOutIsAtomic(t *testing.T) {
+	tr, reg, sets := bareTier(4, time.Now)
+	names := tr.Ring().Names()
+
+	const rounds = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		victim := names[g+1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				tr.MarkDown(victim)
+				tr.MarkUp(victim)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if got, want := len(*sets), 1+3*2*rounds; got != want {
+		t.Fatalf("%d live sets published, want %d (New's, then one per transition)", got, want)
+	}
+	// Each published set must be the immediate successor of the previous
+	// one: exactly one shard toggled, and shard 0 (never touched) always
+	// live. A fan-out that re-reads the ring outside its transition's
+	// critical section publishes duplicate or skipped states here.
+	prev := (*sets)[0]
+	for i, s := range (*sets)[1:] {
+		if !strings.Contains(s, names[0]) {
+			t.Fatalf("event %d (%q) lost always-up shard %s", i, s, names[0])
+		}
+		if d := upSetDiff(prev, s); d != 1 {
+			t.Fatalf("event %d: %d shards toggled between %q and %q, want exactly 1", i, d, prev, s)
+		}
+		prev = s
+	}
+	if prev != strings.Join(names, ",") {
+		t.Fatalf("final published set %q, want all shards live", prev)
+	}
+	snap := reg.Snapshot()
+	if downs, ups := snap.Counter("shard.director.mark_down"), snap.Counter("shard.director.mark_up"); downs != 3*rounds || ups != 3*rounds {
+		t.Errorf("mark_down/mark_up = %d/%d, want %d each", downs, ups, 3*rounds)
+	}
+}
+
+// upSetDiff counts the shards present in exactly one of two comma-joined
+// live sets.
+func upSetDiff(a, b string) int {
+	in := map[string]int{}
+	for _, n := range strings.Split(a, ",") {
+		in[n]++
+	}
+	for _, n := range strings.Split(b, ",") {
+		in[n]--
+	}
+	d := 0
+	for _, v := range in {
+		if v != 0 {
+			d++
+		}
+	}
+	return d
+}
+
+func TestTransitionsStampRebalanceOnTheTierClock(t *testing.T) {
+	now := time.Unix(1000, 0)
+	tr, reg, _ := bareTier(2, func() time.Time { return now })
+	rebalance := func() int64 { return reg.Snapshot().Gauge("shard.director.last_rebalance_ms") }
+	if got := rebalance(); got != 0 {
+		t.Fatalf("last_rebalance_ms = %d before any transition, want 0", got)
+	}
+	victim := tr.Ring().Names()[1]
+	tr.MarkDown(victim)
+	if got := rebalance(); got != now.UnixMilli() {
+		t.Fatalf("last_rebalance_ms = %d, want %d", got, now.UnixMilli())
+	}
+	now = now.Add(90 * time.Second)
+	tr.MarkUp(victim)
+	if got := rebalance(); got != now.UnixMilli() {
+		t.Fatalf("last_rebalance_ms after MarkUp = %d, want %d", got, now.UnixMilli())
+	}
+}
+
+// TestPeerAndStatsSkipCachelessMembers is the multi-process shard's view:
+// it hosts one member and knows only that member's cache.
+func TestPeerAndStatsSkipCachelessMembers(t *testing.T) {
+	h := newHarness(t, 3)
+	h.members[0].Cache, h.members[2].Cache = nil, nil
+	tr := New(h.members, time.Now, func([]string) {})
+	tr.Peer()
+	h.seed(1, "http://origin.example:80/paper/1")
+	if got, want := tr.CacheStats(), h.members[1].Cache.Snapshot(); got != want {
+		t.Errorf("CacheStats = %+v, want the one hosted cache's %+v", got, want)
 	}
 }

@@ -321,7 +321,7 @@ type AutoscalePolicy = autoscale.Policy
 // shards are provisioned, InitialShards start active, and a control
 // loop sampling the tier's metrics — offered load, page-load p99, cache
 // hit rate — admits warm standbys or retires actives through the shard
-// Director mid-run. A joining shard pre-seeds the cache keys it is
+// tier mid-run. A joining shard pre-seeds the cache keys it is
 // about to own from its peers over the sibling-fetch path before
 // entering the ring, so scale-ups do not stampede the border; a
 // retiring shard drains its keys to the survivors and keeps its
