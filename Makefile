@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race race-hot bench bench-smoke bench-selftest bench-json bench-compare figures determinism deprecations
+.PHONY: check build vet fmt test race race-hot fuzz-smoke bench bench-smoke bench-selftest bench-json bench-compare figures determinism deprecations
 
 ## check: the full gate — build, vet, formatting, the hot-path race
 ## gate, the race-enabled test suite, the benchmark's own smoke tests,
-## the facade deprecation gate, and the parallel-harness determinism gate.
-check: build vet fmt race-hot race bench-selftest deprecations determinism
+## the facade deprecation gate, a short run of every fuzz target, and the
+## parallel-harness determinism gate.
+check: build vet fmt race-hot race bench-selftest deprecations fuzz-smoke determinism
 
 ## deprecations: the public facade must stay free of deprecated API —
 ## PR 5 deleted the last // Deprecated: markers; this gate keeps new
@@ -84,6 +85,13 @@ race:
 ## packages' cached results.
 race-hot:
 	$(GO) test -race ./internal/vclock ./internal/netsim ./internal/cache ./internal/fleet ./internal/censor ./internal/tier
+
+## fuzz-smoke: five seconds of coverage-guided fuzzing per fuzz target —
+## the mux frame parser every tunnel listener exposes, and the PAC hash's
+## Go/JavaScript parity. `go test ./...` already replays their seed corpora.
+fuzz-smoke:
+	$(GO) test ./internal/mux -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime 5s
+	$(GO) test ./internal/pac -run '^$$' -fuzz '^FuzzHash32MatchesRenderedJS$$' -fuzztime 5s
 
 ## bench: regenerate every figure's benchmark row once.
 bench:

@@ -5,6 +5,7 @@
 //
 //	scholarbench [-fig NAME|all] [-seed N] [-seeds N] [-parallel N] [-full]
 //	             [-flow-clients LIST] [-bench-out FILE]
+//	             [-cpuprofile FILE] [-memprofile FILE]
 //	scholarbench -trace <method>
 //
 // Figure names are experiments.FigureOrder; -h lists them.
@@ -17,7 +18,9 @@
 // -bench-out writes a machine-readable performance record (wall time,
 // worlds/sec, per-figure timings). -trace renders a per-hop flow trace of
 // one first-time page load through the named method (one of the study's
-// methods or "direct-us") instead of the figures.
+// methods or "direct-us") instead of the figures. -cpuprofile and
+// -memprofile write runtime/pprof CPU and allocation profiles of the
+// whole run (figures or trace) when it exits, for `go tool pprof`.
 //
 // The "scale" figure runs flow-level client cohorts (fluid load plus a
 // few sampled packet-level clients; quick sweeps 500/5k, -full sweeps
@@ -31,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -46,11 +50,14 @@ func main() {
 	benchOut := flag.String("bench-out", "", "write a machine-readable benchmark report (JSON) to this file")
 	flowClients := flag.String("flow-clients", "", "override the scale figure's cohort-size axis (comma-separated client counts)")
 	trace := flag.String("trace", "", "render a per-hop flow trace of one page load through the named method")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file at exit")
 	flag.Parse()
+	startProfiles(*cpuProfile, *memProfile)
 
 	if *trace != "" {
 		runTrace(*trace, *seed)
-		return
+		exit(0)
 	}
 
 	q := experiments.Quick()
@@ -61,7 +68,7 @@ func main() {
 		sweep, err := parseFlowClients(*flowClients)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scholarbench: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		q.FlowSweep = sweep
 	}
@@ -75,9 +82,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scholarbench: %v\n", err)
 		if errors.Is(err, experiments.ErrUnknownFigure) {
-			os.Exit(2)
+			exit(2)
 		}
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Print(res.Output)
 
@@ -88,14 +95,61 @@ func main() {
 		buf, err := json.MarshalIndent(bench, "", "  ")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scholarbench: encode bench report: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		buf = append(buf, '\n')
 		if err := os.WriteFile(*benchOut, buf, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "scholarbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
+	exit(0)
+}
+
+// stopProfiles finishes the profiles startProfiles began; exit runs it.
+var stopProfiles = func() {}
+
+// startProfiles begins a CPU profile into cpuPath and arranges for the
+// allocation profile (every sampled allocation since the start, plus the
+// live heap) to be written to memPath when the program exits. Empty paths
+// skip the profile.
+func startProfiles(cpuPath, memPath string) {
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "scholarbench: %v\n", err)
+			os.Exit(1)
+		}
+		stopProfiles = func() {
+			pprof.StopCPUProfile()
+			f.Close()
+		}
+	}
+	if memPath != "" {
+		stopCPU := stopProfiles
+		stopProfiles = func() {
+			stopCPU()
+			f, err := os.Create(memPath)
+			if err == nil {
+				err = pprof.Lookup("allocs").WriteTo(f, 0)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+			}
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "scholarbench: memprofile: %v\n", err)
+			}
+		}
+	}
+}
+
+// exit writes any requested profiles, then exits with code.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // parseFlowClients parses the -flow-clients list into the scale figure's
@@ -123,12 +177,12 @@ func runTrace(method string, seed uint64) {
 	f, ok := w.FactoryByName(method)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "trace: unknown method %q\n", method)
-		os.Exit(2)
+		exit(2)
 	}
 	tr, st, err := w.TracePageLoad(f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "trace %s: %v\n", method, err)
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Print(tr.Render(fmt.Sprintf("%s first-time page load of %s", method, f.URL)))
 	fmt.Printf("  -- plt=%v resources=%d redirects=%d conns=%d bytes=%d\n",

@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 )
 
 // Transform is a stateful, direction-specific byte-stream transformation.
@@ -122,17 +123,21 @@ type xorState struct {
 	offset uint64
 	block  [32]byte
 	have   int // bytes of block remaining
+	h      hash.Hash
+	ctr    [8]byte // lives here, not on the stack: h.Write would move it to the heap
 }
 
 func (s *xorState) Apply(dst, src []byte) {
 	for i := range src {
 		if s.have == 0 {
-			var ctr [8]byte
-			binary.BigEndian.PutUint64(ctr[:], s.offset/32)
-			h := sha256.New()
-			h.Write(s.key)
-			h.Write(ctr[:])
-			copy(s.block[:], h.Sum(nil))
+			if s.h == nil {
+				s.h = sha256.New()
+			}
+			binary.BigEndian.PutUint64(s.ctr[:], s.offset/32)
+			s.h.Reset()
+			s.h.Write(s.key)
+			s.h.Write(s.ctr[:])
+			s.h.Sum(s.block[:0])
 			s.have = 32
 		}
 		dst[i] = src[i] ^ s.block[32-s.have]

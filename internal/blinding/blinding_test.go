@@ -198,3 +198,55 @@ func TestWrapConnWireBytesAreBlinded(t *testing.T) {
 		t.Error("wire bytes leak protocol keywords")
 	}
 }
+
+// wireSink records every byte written to it, as a carrier that copies on
+// Write does.
+type wireSink struct {
+	net.Conn
+	wire []byte
+}
+
+func (w *wireSink) Write(b []byte) (int, error) {
+	w.wire = append(w.wire, b...)
+	return len(b), nil
+}
+
+// Write reuses one encode buffer across calls; the caller's slices must
+// come through untouched, and the stream of encoded writes must equal a
+// one-shot encode of their concatenation.
+func TestWriteLeavesCallerSliceAndStreamIntact(t *testing.T) {
+	for _, s := range schemes() {
+		sink := &wireSink{}
+		c := WrapConn(sink, s)
+		var plain []byte
+		for i, n := range []int{16, 3000, 5, 70000, 1, 900} {
+			msg := bytes.Repeat([]byte{byte('a' + i)}, n)
+			orig := bytes.Clone(msg)
+			if _, err := c.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(msg, orig) {
+				t.Fatalf("%s: Write of %d bytes modified the caller's slice", s.Name(), n)
+			}
+			plain = append(plain, msg...)
+		}
+		want := make([]byte, len(plain))
+		s.NewEncoder().Apply(want, plain)
+		if !bytes.Equal(sink.wire, want) {
+			t.Errorf("%s: chunked writes differ from a one-shot encode", s.Name())
+		}
+	}
+}
+
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(b []byte) (int, error) { return len(b), nil }
+
+func TestWriteAllocsAfterWarmup(t *testing.T) {
+	c := WrapConn(discardConn{}, NewXORStream([]byte("key-1")))
+	msg := make([]byte, 32<<10)
+	c.Write(msg)
+	if n := testing.AllocsPerRun(100, func() { c.Write(msg) }); n != 0 {
+		t.Errorf("warm Write: %.2f allocs, want 0", n)
+	}
+}

@@ -5,10 +5,19 @@ import "net"
 // Conn applies a blinding scheme to a connection: writes are encoded,
 // reads are decoded. Both ScholarCloud proxies wrap their inter-proxy
 // connections with it.
+//
+// Read decodes in place in the caller's slice. Write encodes into a
+// per-connection buffer that grows to the largest write seen and is
+// reused, so the caller's slice is never modified and the wrapped
+// connection must not keep the slice after its Write returns. Write must
+// not be called concurrently: the encoder is stateful anyway, and mux
+// already serializes every frame. (A mutex here would be an OS lock held
+// across a carrier Write that may block on the virtual clock.)
 type Conn struct {
 	net.Conn
-	enc Transform
-	dec Transform
+	enc  Transform
+	dec  Transform
+	wbuf []byte
 }
 
 // WrapConn blinds conn with scheme. The returned connection is used in
@@ -28,8 +37,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 
 // Write implements net.Conn, encoding sent bytes.
 func (c *Conn) Write(b []byte) (int, error) {
-	// Encode into a scratch buffer so the caller's slice is untouched.
-	out := make([]byte, len(b))
+	if cap(c.wbuf) < len(b) {
+		c.wbuf = make([]byte, len(b))
+	}
+	out := c.wbuf[:len(b)]
 	c.enc.Apply(out, b)
 	return c.Conn.Write(out)
 }

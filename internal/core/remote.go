@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -205,11 +204,11 @@ func (r *Remote) acceptStream(meta []byte) (net.Conn, error) {
 		defer tconn.Close()
 		defer origin.Close()
 		r.Env.Spawn.Go(func() {
-			io.Copy(tconn, origin)
+			netx.Copy(tconn, origin)
 			tconn.Close()
 			origin.Close()
 		})
-		io.Copy(origin, tconn)
+		netx.Copy(origin, tconn)
 		origin.Close()
 	})
 	return near, nil

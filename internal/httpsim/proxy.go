@@ -3,7 +3,6 @@ package httpsim
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -186,11 +185,11 @@ func (p *Proxy) handleAbsolute(conn net.Conn, req *Request) bool {
 // finishes on its own goroutine.
 func Relay(spawn netx.Spawner, a, b net.Conn) {
 	spawn.Go(func() {
-		io.Copy(a, b)
+		netx.Copy(a, b)
 		a.Close()
 		b.Close()
 	})
-	io.Copy(b, a)
+	netx.Copy(b, a)
 	a.Close()
 	b.Close()
 }

@@ -13,9 +13,28 @@
 //
 // All blocking uses netx primitives, so sessions run unchanged over the
 // real network and the virtual-time simulator.
+//
+// Buffer ownership. The data path allocates nothing per frame once warm:
+//
+//   - A session builds every outgoing frame in one write buffer, owned by
+//     whoever holds the write lock, and hands it to the carrier in exactly
+//     one Write (write boundaries drive the simulator's packetisation).
+//     Carriers must therefore not keep the slice after Write returns.
+//   - The read loop decodes every incoming payload into one read buffer
+//     that grows only to the largest frame seen (at most maxFramePayload).
+//     dispatch must copy anything that outlives it; today that is only the
+//     OPEN metadata handed to the acceptor.
+//   - Each stream keeps its receive buffer across reads: Read advances an
+//     offset and rewinds the buffer when drained, and dispatch compacts
+//     unread bytes to the front before growing it. The buffer therefore
+//     grows only when its unread bytes plus one frame exceed its capacity,
+//     so the capacity a stream retains is bounded by maxStreamBuffer
+//     (4 MiB, the limit on undelivered data) plus append's growth slack —
+//     the same worst case as a buffer rebuilt on every drain.
 package mux
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -76,7 +95,9 @@ type Session struct {
 	conn net.Conn
 	env  netx.Env
 
-	wmu sync.Mutex // serializes frames onto the carrier
+	wmu  sync.Mutex // serializes frames onto the carrier
+	wbuf []byte     // frame under construction; owned by the write-lock holder
+	rbuf []byte     // payload of the frame being dispatched; owned by readLoop
 
 	// managedWrites switches frame serialization from wmu to a managed
 	// write token (writing + cond). Set for carriers whose Write blocks
@@ -228,11 +249,12 @@ func (s *Session) writeFrame(typ byte, id uint32, payload []byte) error {
 		s.wmu.Lock()
 		defer s.wmu.Unlock()
 	}
-	hdr := make([]byte, 9, 9+len(payload))
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], id)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(payload)))
-	_, err := s.conn.Write(append(hdr, payload...))
+	frame := append(s.wbuf[:0], typ, 0, 0, 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(frame[1:], id)
+	binary.BigEndian.PutUint32(frame[5:], uint32(len(payload)))
+	frame = append(frame, payload...)
+	s.wbuf = frame
+	_, err := s.conn.Write(frame)
 	return err
 }
 
@@ -280,7 +302,10 @@ func (s *Session) readLoop() {
 			s.fail(fmt.Errorf("mux: oversized frame (%d bytes)", n))
 			return
 		}
-		payload := make([]byte, n)
+		if cap(s.rbuf) < int(n) {
+			s.rbuf = make([]byte, n)
+		}
+		payload := s.rbuf[:n]
 		if _, err := io.ReadFull(s.conn, payload); err != nil {
 			s.fail(fmt.Errorf("mux: carrier read: %w", err))
 			return
@@ -302,7 +327,7 @@ func (s *Session) dispatch(typ byte, id uint32, payload []byte) {
 		s.mu.Lock()
 		st := s.newStreamLocked(id)
 		s.mu.Unlock()
-		meta := payload
+		meta := bytes.Clone(payload) // payload is rbuf, reused by the next frame
 		s.env.Spawn.Go(func() {
 			upstream, err := s.accept(meta)
 			if err != nil {
@@ -340,10 +365,15 @@ func (s *Session) dispatch(typ byte, id uint32, payload []byte) {
 	case frameData:
 		s.mu.Lock()
 		if st := s.streams[id]; st != nil {
-			if len(st.buf)+len(payload) > maxStreamBuffer {
+			if len(st.buf)-st.off+len(payload) > maxStreamBuffer {
 				s.mu.Unlock()
 				s.fail(fmt.Errorf("mux: stream %d buffer overflow", id))
 				return
+			}
+			if st.off > 0 && len(st.buf)+len(payload) > cap(st.buf) {
+				// Reclaim the consumed prefix before append would grow.
+				st.buf = st.buf[:copy(st.buf, st.buf[st.off:])]
+				st.off = 0
 			}
 			st.buf = append(st.buf, payload...)
 			st.cond.Broadcast()
@@ -468,11 +498,11 @@ func (s *Session) Streams() int {
 // side finishes.
 func (s *Session) relay(st *Stream, upstream net.Conn) {
 	s.env.Spawn.Go(func() {
-		io.Copy(st, upstream)
+		netx.Copy(st, upstream)
 		st.Close()
 		upstream.Close()
 	})
-	io.Copy(upstream, st)
+	netx.Copy(upstream, st)
 	upstream.Close()
 	st.Close()
 }
@@ -484,7 +514,8 @@ type Stream struct {
 	cond netx.Cond // bound to sess.mu
 
 	opening      bool
-	buf          []byte
+	buf          []byte // received bytes; buf[off:] is unread
+	off          int
 	err          error
 	localClosed  bool
 	remoteClosed bool
@@ -498,11 +529,11 @@ func (st *Stream) Read(b []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		if len(st.buf) > 0 {
-			n := copy(b, st.buf)
-			st.buf = st.buf[n:]
-			if len(st.buf) == 0 {
-				st.buf = nil
+		if st.off < len(st.buf) {
+			n := copy(b, st.buf[st.off:])
+			st.off += n
+			if st.off == len(st.buf) {
+				st.buf, st.off = st.buf[:0], 0
 			}
 			return n, nil
 		}

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"sync"
@@ -10,7 +11,8 @@ import (
 // Pipe returns a connected pair of in-process duplex connections whose
 // blocking is scheduler-aware (unlike net.Pipe, which would stall a
 // virtual-time simulation). Writes never block; reads block until data or
-// close.
+// close. Write copies the slice into the peer's receive buffer, which is
+// kept and reused across reads.
 func Pipe(env Env) (net.Conn, net.Conn) {
 	var mu sync.Mutex
 	a := &pipeEnd{mu: &mu}
@@ -26,7 +28,7 @@ type pipeEnd struct {
 	cond Cond
 	peer *pipeEnd
 
-	buf    []byte
+	buf    bytes.Buffer
 	closed bool
 }
 
@@ -35,10 +37,8 @@ func (p *pipeEnd) Read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if len(p.buf) > 0 {
-			n := copy(b, p.buf)
-			p.buf = p.buf[n:]
-			return n, nil
+		if p.buf.Len() > 0 {
+			return p.buf.Read(b)
 		}
 		if p.closed {
 			return 0, net.ErrClosed
@@ -57,7 +57,7 @@ func (p *pipeEnd) Write(b []byte) (int, error) {
 	if p.closed || p.peer.closed {
 		return 0, net.ErrClosed
 	}
-	p.peer.buf = append(p.peer.buf, b...)
+	p.peer.buf.Write(b)
 	p.peer.cond.Broadcast()
 	return len(b), nil
 }

@@ -200,11 +200,11 @@ func (p *LocalProxy) handle(conn net.Conn) {
 		return
 	}
 	p.Env.Spawn.Go(func() {
-		io.Copy(conn, upstream)
+		netx.Copy(conn, upstream)
 		conn.Close()
 		upstream.Close()
 	})
-	io.Copy(upstream, conn)
+	netx.Copy(upstream, conn)
 }
 
 func cutLast(s string, sep byte) (string, string, bool) {

@@ -135,11 +135,11 @@ func (s *Server) handle(conn net.Conn) {
 	s.mu.Unlock()
 	defer upstream.Close()
 	s.Env.Spawn.Go(func() {
-		io.Copy(sc, upstream)
+		netx.Copy(sc, upstream)
 		conn.Close()
 		upstream.Close()
 	})
-	io.Copy(upstream, sc)
+	netx.Copy(upstream, sc)
 }
 
 // silentHold drains conn without ever writing, for up to
